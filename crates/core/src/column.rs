@@ -598,30 +598,33 @@ impl Refiner {
         out
     }
 
-    /// Whether every class agrees on `column` — i.e. the partition's
-    /// defining columns functionally determine `column`.
-    pub fn determines(classes: &[Vec<u32>], column: &[u32]) -> bool {
-        classes.iter().all(|class| {
-            let v = column[class[0] as usize];
-            class[1..].iter().all(|&r| column[r as usize] == v)
-        })
-    }
-
-    /// The g3 error of `X → column` against the stripped partition of `X`:
-    /// the minimum number of rows to remove before the FD holds exactly.
-    /// Per class that is `|class| −` (the highest multiplicity of a single
+    /// The g3 error of `X → column` against the stripped partition of `X`
+    /// — the minimum number of rows to remove before the FD holds exactly
+    /// — bounded at `cap + 1`: the result is `min(g3, cap + 1)`, and the
+    /// scan stops as soon as the classes seen so far exceed `cap`. Per
+    /// class that is `|class| −` (the highest multiplicity of a single
     /// `column` value in it) — singleton classes, stripped away, agree
     /// vacuously and contribute zero, so the stripped partition already
-    /// carries everything the measure needs. Zero iff [`Refiner::determines`].
+    /// carries everything the measure needs. A class agreeing on `column`
+    /// is recognized without hashing, so with `cap = 0` this is a plain
+    /// "the partition's columns determine `column`" check: `0` iff the FD
+    /// holds, `1` at the first disagreeing class.
     ///
     /// g3 is monotone non-increasing as `X` grows (refining classes can
     /// only raise the per-class agreement), which is what lets the FD
     /// lattice walk keep its minimality and superkey pruning at any error
     /// threshold.
-    pub fn g3_error(classes: &[Vec<u32>], column: &[u32]) -> u64 {
+    pub fn g3_error(classes: &[Vec<u32>], column: &[u32], cap: u64) -> u64 {
         let mut err = 0u64;
         let mut freq: FastMap<u32, u32> = FastMap::default();
         for class in classes {
+            let v = column[class[0] as usize];
+            if class[1..].iter().all(|&r| column[r as usize] == v) {
+                continue;
+            }
+            if cap == 0 {
+                return 1;
+            }
             freq.clear();
             let mut best = 0u32;
             for &r in class {
@@ -630,6 +633,9 @@ impl Refiner {
                 best = best.max(*n);
             }
             err += class.len() as u64 - u64::from(best);
+            if err > cap {
+                return cap + 1;
+            }
         }
         err
     }
@@ -860,8 +866,8 @@ mod tests {
         assert_eq!(by_bc, vec![vec![0, 1]]);
         // B determines C on the {0,1} class only after stripping: full
         // check over the B-partition fails on class {2,3}.
-        assert!(!Refiner::determines(&by_b, rel.column(2)));
-        assert!(Refiner::determines(&by_bc, rel.column(2)));
+        assert_eq!(Refiner::g3_error(&by_b, rel.column(2), 0), 1);
+        assert_eq!(Refiner::g3_error(&by_bc, rel.column(2), 0), 0);
         // A (all distinct) refines everything to singletons.
         assert!(refiner.refine_stripped(&root, rel.column(0)).is_empty());
     }
@@ -872,18 +878,25 @@ mod tests {
         // 7-rows makes the class agree, so g3 = 2.
         let column = vec![5u32, 5, 7, 7, 5];
         let classes = vec![vec![0u32, 1, 2, 3, 4]];
-        assert_eq!(Refiner::g3_error(&classes, &column), 2);
+        assert_eq!(Refiner::g3_error(&classes, &column, u64::MAX - 1), 2);
         // Agreement is per class: {0,1,4} and {2,3} each agree → g3 = 0,
-        // and zero coincides exactly with `determines`.
+        // at every cap.
         let split = vec![vec![0u32, 1, 4], vec![2, 3]];
-        assert_eq!(Refiner::g3_error(&split, &column), 0);
-        assert!(Refiner::determines(&split, &column));
+        assert_eq!(Refiner::g3_error(&split, &column, 0), 0);
+        assert_eq!(Refiner::g3_error(&split, &column, 5), 0);
         // Monotone: refining a partition never raises the error.
-        let coarse = Refiner::g3_error(&classes, &column);
-        let fine = Refiner::g3_error(&split, &column);
+        let coarse = Refiner::g3_error(&classes, &column, 5);
+        let fine = Refiner::g3_error(&split, &column, 5);
         assert!(fine <= coarse);
+        // Bounded: the count saturates at cap + 1, exact up to the cap.
+        assert_eq!(Refiner::g3_error(&classes, &column, 0), 1);
+        assert_eq!(Refiner::g3_error(&classes, &column, 1), 2);
+        assert_eq!(Refiner::g3_error(&classes, &column, 2), 2);
+        let two = vec![vec![0u32, 2], vec![1, 3], vec![4, 2]];
+        assert_eq!(Refiner::g3_error(&two, &column, 9), 3);
+        assert_eq!(Refiner::g3_error(&two, &column, 1), 2);
         // Empty (fully stripped) partitions are vacuously exact.
-        assert_eq!(Refiner::g3_error(&[], &column), 0);
+        assert_eq!(Refiner::g3_error(&[], &column, 0), 0);
     }
 
     #[test]

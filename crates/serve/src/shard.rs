@@ -12,19 +12,19 @@
 //!   landing by atomic rename so a killed worker never leaves a partial
 //!   run under a published name.
 //! * **Refute** tasks — one per FNV key-range pass of the n-ary IND
-//!   validation: the worker reports which candidates fail on its key
-//!   shard ([`depkit_solver::discover::refute_candidates_pass`]); the
-//!   coordinator unions refutations across passes, which equals the
-//!   unsharded verdict because every projection key belongs to exactly
-//!   one pass.
-//! * **Count** tasks — the approximate pipeline's quantitative form of a
-//!   refute pass: the worker reports per-candidate *miss counts* on its
-//!   key shard
-//!   ([`depkit_solver::discover::count_candidate_misses_pass`]); the
-//!   coordinator **sums** counts across passes, which equals the
-//!   unsharded scan for the same exactly-one-pass-per-key reason — so the
-//!   confidences a sharded run reports are identical to every in-process
-//!   mode.
+//!   validation, carrying the candidates (`cands`) and one miss cap per
+//!   candidate (`caps`; `0` in exact runs). The worker answers `misses`:
+//!   per candidate, its left rows on the pass's key shard with no
+//!   right-side match, counted up to `cap + 1`
+//!   ([`depkit_solver::discover::refute_candidates_pass`]). The
+//!   coordinator **sums** the counts across passes and saturates the sum
+//!   at `cap + 1`, which equals the unsharded bounded count because every
+//!   projection key belongs to exactly one pass — so verdicts and the
+//!   confidences a tolerant run reports are identical to every
+//!   in-process mode. Both fields come from outside the process, so both
+//!   ends check them: a worker fails a task whose caps do not match its
+//!   candidates, and the coordinator rejects and requeues a completion
+//!   whose counts have the wrong length or exceed `cap + 1`.
 //!
 //! **Commit / retry protocol.** Workers poll (`hello` → `next` → work →
 //! `done`/`failed`), heartbeating while a task runs. Every assignment
@@ -58,8 +58,8 @@ use depkit_core::column::ColumnStore;
 use depkit_core::schema::DatabaseSchema;
 use depkit_core::spill::{load_verified_run_set, RunSet, SpillDir};
 use depkit_solver::discover::{
-    column_table, count_candidate_misses_pass, discover_store_sharded, profile_column_runs,
-    refute_candidates_pass, Discovery, DiscoveryConfig, IndCand, ShardExecutor,
+    column_table, discover_store_sharded, profile_column_runs, refute_candidates_pass, Discovery,
+    DiscoveryConfig, IndCand, ShardExecutor,
 };
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -161,11 +161,8 @@ pub enum FaultKind {
 pub enum TaskKind {
     /// A column-profiling shard; the index is the global column id.
     Profile,
-    /// An n-ary refutation pass; the index is the pass number.
+    /// An n-ary bounded-miss pass; the index is the pass number.
     Refute,
-    /// An n-ary miss-counting pass (approximate discovery); the index is
-    /// the pass number.
-    Count,
 }
 
 /// One deterministic fault: fires when a worker is assigned the matching
@@ -198,7 +195,7 @@ impl FaultPlan {
     /// Parse a plan from the `DEPKIT_FAULT` syntax:
     /// `<kind>:<task>:<index>[:<stall ms>]`, `;`-separated. Examples:
     /// `kill:profile:0`, `stall:profile:2:3000`, `corrupt:profile:1`,
-    /// `kill:refute:0`, `kill:count:1`.
+    /// `kill:refute:0`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut faults = Vec::new();
         for entry in spec.split(';').filter(|e| !e.trim().is_empty()) {
@@ -209,7 +206,6 @@ impl FaultPlan {
             let task = match parts[1] {
                 "profile" => TaskKind::Profile,
                 "refute" => TaskKind::Refute,
-                "count" => TaskKind::Count,
                 other => return Err(format!("bad fault task `{other}`")),
             };
             let index: usize = parts[2]
@@ -268,11 +264,7 @@ enum TaskSpec {
         pass: usize,
         passes: usize,
         cands: Arc<Vec<IndCand>>,
-    },
-    Count {
-        pass: usize,
-        passes: usize,
-        cands: Arc<Vec<IndCand>>,
+        caps: Arc<Vec<u64>>,
     },
 }
 
@@ -280,7 +272,6 @@ enum TaskSpec {
 #[derive(Debug)]
 enum TaskResult {
     Runs(RunSet),
-    Refuted(Vec<usize>),
     Misses(Vec<u64>),
 }
 
@@ -313,7 +304,12 @@ struct CoordState {
     phase: Option<Phase>,
     next_worker: i64,
     stats: ShardStats,
+    /// Set when the run ends: polling workers are told to exit.
     shutdown: bool,
+    /// Set by [`Coordinator::shutdown`]: the accept loop stops. Until
+    /// then a worker connecting after the run ended is still served —
+    /// and told to exit — rather than reset.
+    closed: bool,
     /// Last assignment/heartbeat/completion — the progress deadline base.
     touched: Instant,
 }
@@ -354,6 +350,7 @@ impl Coordinator {
                 next_worker: 0,
                 stats: ShardStats::default(),
                 shutdown: false,
+                closed: false,
                 touched: Instant::now(),
             }),
             cv: Condvar::new(),
@@ -363,7 +360,7 @@ impl Coordinator {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             for stream in listener.incoming() {
-                if accept_shared.state.lock().unwrap().shutdown {
+                if accept_shared.state.lock().unwrap().closed {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
@@ -430,6 +427,7 @@ impl Coordinator {
         {
             let mut st = self.shared.state.lock().unwrap();
             st.shutdown = true;
+            st.closed = true;
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -549,7 +547,7 @@ impl ShardExecutor for CoordExec<'_> {
             .collect())
     }
 
-    fn validate_candidates(&mut self, cands: &[IndCand]) -> io::Result<Vec<bool>> {
+    fn validate_candidates(&mut self, cands: &[IndCand], caps: &[u64]) -> io::Result<Vec<u64>> {
         if cands.is_empty() {
             return Ok(Vec::new());
         }
@@ -558,49 +556,19 @@ impl ShardExecutor for CoordExec<'_> {
             p => p,
         };
         let shared_cands = Arc::new(cands.to_vec());
+        let shared_caps = Arc::new(caps.to_vec());
         let specs = (0..passes)
             .map(|pass| TaskSpec::Refute {
                 pass,
                 passes,
                 cands: Arc::clone(&shared_cands),
+                caps: Arc::clone(&shared_caps),
             })
             .collect();
         let results = self.coord.run_phase(specs)?;
-        let mut ok = vec![true; cands.len()];
-        for r in results {
-            match r {
-                TaskResult::Refuted(indices) => {
-                    for i in indices {
-                        if i < ok.len() {
-                            ok[i] = false;
-                        }
-                    }
-                }
-                _ => unreachable!("refute phase yields refutations"),
-            }
-        }
-        Ok(ok)
-    }
-
-    fn count_misses(&mut self, cands: &[IndCand]) -> io::Result<Vec<u64>> {
-        if cands.is_empty() {
-            return Ok(Vec::new());
-        }
-        let passes = match self.coord.shared.cfg.refute_passes {
-            0 => self.expected_workers.max(1),
-            p => p,
-        };
-        let shared_cands = Arc::new(cands.to_vec());
-        let specs = (0..passes)
-            .map(|pass| TaskSpec::Count {
-                pass,
-                passes,
-                cands: Arc::clone(&shared_cands),
-            })
-            .collect();
-        let results = self.coord.run_phase(specs)?;
-        // Sum element-wise: every projection key is counted by exactly
-        // one pass, so the pass sums equal the unsharded miss counts.
+        // Sum element-wise, then saturate: every projection key is
+        // counted by exactly one pass, so the sums are the unsharded
+        // counts, and a pass over its cap pushes the sum over it too.
         let mut misses = vec![0u64; cands.len()];
         for r in results {
             match r {
@@ -609,10 +577,14 @@ impl ShardExecutor for CoordExec<'_> {
                         *sum += m;
                     }
                 }
-                _ => unreachable!("count phase yields miss counts"),
+                _ => unreachable!("refute phase yields miss counts"),
             }
         }
-        Ok(misses)
+        Ok(misses
+            .into_iter()
+            .zip(caps)
+            .map(|(m, &cap)| m.min(cap + 1))
+            .collect())
     }
 }
 
@@ -787,21 +759,16 @@ fn next_task(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
             pass,
             passes,
             cands,
+            caps,
         } => {
             fields.push(("task", Json::Str("refute".into())));
             fields.push(("pass", Json::Num(pass as i64)));
             fields.push(("passes", Json::Num(passes as i64)));
             fields.push(("cands", Json::Arr(cands.iter().map(cand_to_json).collect())));
-        }
-        TaskSpec::Count {
-            pass,
-            passes,
-            cands,
-        } => {
-            fields.push(("task", Json::Str("count".into())));
-            fields.push(("pass", Json::Num(pass as i64)));
-            fields.push(("passes", Json::Num(passes as i64)));
-            fields.push(("cands", Json::Arr(cands.iter().map(cand_to_json).collect())));
+            fields.push((
+                "caps",
+                Json::Arr(caps.iter().map(|&c| Json::Num(c as i64)).collect()),
+            ));
         }
     }
     obj(fields)
@@ -850,52 +817,22 @@ fn task_done(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
             TaskSpec::Profile { col } => {
                 Some(shared.session_dir.join(format!("col{col}.manifest")))
             }
-            TaskSpec::Refute { cands, .. } => {
-                let Some(indices) = req.get("refuted").and_then(Json::as_arr) else {
-                    return jerr("refute done needs `refuted`".into());
-                };
-                let Some(refuted) = indices
-                    .iter()
-                    .map(|v| v.as_i64().map(|n| n as usize))
-                    .collect::<Option<Vec<usize>>>()
-                else {
-                    return jerr("bad refuted list".into());
-                };
-                if refuted.iter().any(|&i| i >= cands.len()) {
-                    return jerr("refuted index out of range".into());
+            TaskSpec::Refute { caps, .. } => match parse_misses(req, caps) {
+                Ok(misses) => {
+                    phase.tasks[t].result = Some(TaskResult::Misses(misses));
+                    phase.tasks[t].status = TaskStatus::Done;
+                    phase.remaining -= 1;
+                    stats.completed += 1;
+                    shared.cv.notify_all();
+                    return accepted(true);
                 }
-                phase.tasks[t].result = Some(TaskResult::Refuted(refuted));
-                phase.tasks[t].status = TaskStatus::Done;
-                phase.remaining -= 1;
-                stats.completed += 1;
-                shared.cv.notify_all();
-                return accepted(true);
-            }
-            TaskSpec::Count { cands, .. } => {
-                let Some(values) = req.get("misses").and_then(Json::as_arr) else {
-                    return jerr("count done needs `misses`".into());
-                };
-                let Some(misses) = values
-                    .iter()
-                    .map(|v| v.as_i64().filter(|&n| n >= 0).map(|n| n as u64))
-                    .collect::<Option<Vec<u64>>>()
-                else {
-                    return jerr("bad misses list".into());
-                };
-                if misses.len() != cands.len() {
-                    return jerr(format!(
-                        "count done has {} misses for {} candidates",
-                        misses.len(),
-                        cands.len()
-                    ));
+                Err(e) => {
+                    stats.retried += 1;
+                    requeue(phase, t, shared.cfg.max_attempts, &e);
+                    shared.cv.notify_all();
+                    return jerr(e);
                 }
-                phase.tasks[t].result = Some(TaskResult::Misses(misses));
-                phase.tasks[t].status = TaskStatus::Done;
-                phase.remaining -= 1;
-                stats.completed += 1;
-                shared.cv.notify_all();
-                return accepted(true);
-            }
+            },
         }
     };
     let manifest = verify.expect("profile path set above");
@@ -928,6 +865,31 @@ fn task_done(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
             accepted(false)
         }
     }
+}
+
+/// A refute completion's `misses`, checked against the task's caps: one
+/// count per candidate, each within `0..=cap + 1` (a pass's count
+/// saturates there).
+fn parse_misses(req: &Json, caps: &[u64]) -> Result<Vec<u64>, String> {
+    let values = req
+        .get("misses")
+        .and_then(Json::as_arr)
+        .ok_or("refute done needs `misses`")?;
+    if values.len() != caps.len() {
+        return Err(format!(
+            "refute done has {} misses for {} candidates",
+            values.len(),
+            caps.len()
+        ));
+    }
+    values
+        .iter()
+        .zip(caps)
+        .map(|(v, &cap)| match v.as_i64() {
+            Some(n) if n >= 0 && n as u64 <= cap + 1 => Ok(n as u64),
+            _ => Err(format!("bad miss count {v} for cap {cap}")),
+        })
+        .collect()
 }
 
 fn cand_to_json(c: &IndCand) -> Json {
@@ -1053,10 +1015,6 @@ pub fn run_worker(
                 TaskKind::Refute,
                 next.get("pass").and_then(Json::as_i64).unwrap_or(-1) as usize,
             ),
-            "count" => (
-                TaskKind::Count,
-                next.get("pass").and_then(Json::as_i64).unwrap_or(-1) as usize,
-            ),
             other => return Err(io::Error::other(format!("unknown task kind `{other}`"))),
         };
         let injected = fault.matching(kind, index, attempt32);
@@ -1154,13 +1112,31 @@ fn execute_task(
             Ok(vec![("manifest", Json::Str(format!("col{col}.manifest")))])
         }
         "refute" => {
-            let (Some(pass), Some(passes), Some(cand_json)) = (
+            let (Some(pass), Some(passes), Some(cand_json), Some(cap_json)) = (
                 next.get("pass").and_then(Json::as_i64),
                 next.get("passes").and_then(Json::as_i64),
                 next.get("cands").and_then(Json::as_arr),
+                next.get("caps").and_then(Json::as_arr),
             ) else {
                 return Err(io::Error::other("malformed refute task"));
             };
+            if !(0..passes).contains(&pass) {
+                return Err(io::Error::other(format!("pass {pass} of {passes}")));
+            }
+            if cap_json.len() != cand_json.len() {
+                return Err(io::Error::other(format!(
+                    "refute task has {} caps for {} candidates",
+                    cap_json.len(),
+                    cand_json.len()
+                )));
+            }
+            let caps: Vec<u64> = cap_json
+                .iter()
+                .map(|v| match v.as_i64() {
+                    Some(n) if n >= 0 => Ok(n as u64),
+                    _ => Err(io::Error::other(format!("bad cap: {v}"))),
+                })
+                .collect::<io::Result<_>>()?;
             let cands: Vec<IndCand> = cand_json
                 .iter()
                 .map(|v| {
@@ -1168,30 +1144,14 @@ fn execute_task(
                         .ok_or_else(|| io::Error::other(format!("bad candidate: {v}")))
                 })
                 .collect::<io::Result<_>>()?;
-            let refuted =
-                refute_candidates_pass(store, columns, &cands, pass as usize, passes as usize);
-            Ok(vec![(
-                "refuted",
-                Json::Arr(refuted.into_iter().map(|i| Json::Num(i as i64)).collect()),
-            )])
-        }
-        "count" => {
-            let (Some(pass), Some(passes), Some(cand_json)) = (
-                next.get("pass").and_then(Json::as_i64),
-                next.get("passes").and_then(Json::as_i64),
-                next.get("cands").and_then(Json::as_arr),
-            ) else {
-                return Err(io::Error::other("malformed count task"));
-            };
-            let cands: Vec<IndCand> = cand_json
-                .iter()
-                .map(|v| {
-                    cand_from_json(v, columns)
-                        .ok_or_else(|| io::Error::other(format!("bad candidate: {v}")))
-                })
-                .collect::<io::Result<_>>()?;
-            let misses =
-                count_candidate_misses_pass(store, columns, &cands, pass as usize, passes as usize);
+            let misses = refute_candidates_pass(
+                store,
+                columns,
+                &cands,
+                &caps,
+                pass as usize,
+                passes as usize,
+            );
             Ok(vec![(
                 "misses",
                 Json::Arr(misses.into_iter().map(|m| Json::Num(m as i64)).collect()),
@@ -1362,10 +1322,112 @@ mod tests {
             "kill:nowhere:0",
             "kill:profile",
             "kill:profile:x",
+            "kill:count:0",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "should reject {bad}");
         }
         assert_eq!(FaultPlan::parse("").unwrap().faults.len(), 0);
+    }
+
+    /// A bound coordinator with one refute shard in flight (attempt 0)
+    /// over two candidates capped at 0 and 2.
+    fn refute_in_flight() -> Coordinator {
+        let coordinator = Coordinator::bind("127.0.0.1:0", shard_cfg()).unwrap();
+        let cand = IndCand {
+            lrel: 0,
+            rrel: 1,
+            lhs: vec![1],
+            rhs: vec![3],
+        };
+        coordinator.shared.state.lock().unwrap().phase = Some(Phase {
+            tasks: vec![TaskState {
+                spec: TaskSpec::Refute {
+                    pass: 0,
+                    passes: 1,
+                    cands: Arc::new(vec![cand.clone(), cand]),
+                    caps: Arc::new(vec![0, 2]),
+                },
+                attempt: 0,
+                status: TaskStatus::Running {
+                    attempt: 0,
+                    worker: 0,
+                },
+                last_beat: Instant::now(),
+                result: None,
+            }],
+            queue: VecDeque::new(),
+            remaining: 1,
+            error: None,
+        });
+        coordinator
+    }
+
+    fn done_with(misses: &str) -> Json {
+        parse(&format!(
+            r#"{{"cmd":"done","id":0,"attempt":0,"misses":{misses}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn coordinator_rejects_and_requeues_bad_miss_counts() {
+        // Wrong length, negative, past cap + 1, not a number, absent.
+        for bad in [
+            "[0]",
+            "[0, 1, 1]",
+            "[-1, 0]",
+            "[2, 0]",
+            "[0, 4]",
+            r#"[0, "1"]"#,
+            "null",
+        ] {
+            let coordinator = refute_in_flight();
+            let reply = respond(&coordinator.shared, &mut Some((0, 0)), &done_with(bad));
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{bad}: {reply}");
+            {
+                let st = coordinator.shared.state.lock().unwrap();
+                let task = &st.phase.as_ref().unwrap().tasks[0];
+                assert_eq!(task.status, TaskStatus::Queued, "{bad}: shard requeued");
+                assert_eq!(task.attempt, 1, "{bad}: next attempt gets a new token");
+                assert!(task.result.is_none(), "{bad}: nothing merged");
+                assert_eq!(st.stats.retried, 1);
+                assert_eq!(st.stats.completed, 0);
+            }
+            coordinator.shutdown().unwrap();
+        }
+        // Both ends of the range — zero and a saturated cap + 1 — merge.
+        let coordinator = refute_in_flight();
+        let reply = respond(&coordinator.shared, &mut Some((0, 0)), &done_with("[1, 3]"));
+        assert_eq!(reply.get("accepted"), Some(&Json::Bool(true)), "{reply}");
+        {
+            let st = coordinator.shared.state.lock().unwrap();
+            let task = &st.phase.as_ref().unwrap().tasks[0];
+            assert!(matches!(&task.result, Some(TaskResult::Misses(m)) if m == &[1, 3]));
+            assert_eq!(st.stats.completed, 1);
+        }
+        coordinator.shutdown().unwrap();
+    }
+
+    #[test]
+    fn worker_fails_refute_tasks_with_mismatched_or_negative_caps() {
+        let (schema, db) = worked_example();
+        let store = ColumnStore::new(&db);
+        let columns = column_table(&schema);
+        // EMP[DEPT] <= DEPT[DNO]: global columns 1 and 3.
+        let task = |caps: &str| {
+            parse(&format!(
+                r#"{{"task":"refute","pass":0,"passes":1,"cands":[[[1],[3]]],"caps":{caps}}}"#
+            ))
+            .unwrap()
+        };
+        for bad in ["[]", "[0, 0]", "[-1]", r#"["0"]"#, "null"] {
+            assert!(
+                execute_task(&task(bad), "refute", &store, &columns, None).is_err(),
+                "caps {bad} must fail the task"
+            );
+        }
+        let done = execute_task(&task("[0]"), "refute", &store, &columns, None).unwrap();
+        assert_eq!(done, vec![("misses", Json::Arr(vec![Json::Num(0)]))]);
     }
 
     #[test]

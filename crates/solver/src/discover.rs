@@ -69,6 +69,14 @@
 //! [`Discovery::spill`] reports runs written, bytes spilled, and merge
 //! passes.
 //!
+//! **One kernel for exact and tolerant runs.** Every refutation above —
+//! the SPIDER charge, the n-ary key scan (local, budgeted, or on shard
+//! workers), the FD agreement test — is a **bounded miss count** that
+//! stops once it passes the candidate's cap, `⌊max_error × support⌋`
+//! ([`DiscoveryConfig::max_error`]). Exact discovery is cap `0`: the
+//! first miss refutes. Admitted candidates never reach their cap, so
+//! their counts are exact.
+//!
 //! Exactness contract: within the configured caps
 //! ([`DiscoveryConfig::max_ind_arity`], [`DiscoveryConfig::max_fd_lhs`])
 //! the raw set contains **every** satisfied nontrivial IND (one canonical
@@ -133,7 +141,11 @@ pub struct DiscoveryConfig {
     /// recompute partitions from the root and run in hash-of-left-side
     /// waves. The mined result is byte-identical to the unbounded run —
     /// the budget changes *where* intermediate state lives, never what is
-    /// found ([`Discovery::spill`] reports what went to disk).
+    /// found ([`Discovery::spill`] reports what went to disk). One
+    /// structure lives outside the budget: under a positive
+    /// [`DiscoveryConfig::max_error`], the unary merge's row-frequency
+    /// table (distinct values × columns × 4 bytes), which exact runs never
+    /// build.
     pub memory_budget: usize,
     /// Directory under which spilled sorted runs are written when
     /// [`DiscoveryConfig::memory_budget`] forces the disk path; `None`
@@ -141,13 +153,14 @@ pub struct DiscoveryConfig {
     /// uniquely named subdirectory and removes it when the run completes.
     pub spill_dir: Option<PathBuf>,
     /// Error tolerance for approximate discovery, as a fraction of rows in
-    /// `[0, 1)`. `0.0` (the default) mines exactly, through code paths
-    /// untouched by the approximate machinery — the output is
-    /// byte-identical to an exact-only build. A positive tolerance keeps a
-    /// dependency when its error is at most `max_error` of the governing
-    /// row count: FDs use the g3 measure ([`Refiner::g3_error`] — the
-    /// minimum rows to delete, from stripped-partition group sizes), INDs
-    /// count left rows whose projection is absent on the right. Every kept
+    /// `[0, 1)`. A dependency is kept when its error is at most
+    /// `max_error` of the governing row count (its `support`): FDs use the
+    /// g3 measure ([`Refiner::g3_error`] — the minimum rows to delete,
+    /// from stripped-partition group sizes), INDs count left rows whose
+    /// projection is absent on the right. Every candidate's count is
+    /// bounded: it stops once it passes `⌊max_error × support⌋`, so
+    /// `0.0` (the default) is exact discovery — the first miss refutes,
+    /// and nothing is scored. Under a positive tolerance every kept
     /// dependency lands in [`Discovery::scored`] with its exact `misses`
     /// and `support`, identical across threads, budgets, and sharding.
     pub max_error: f64,
@@ -345,13 +358,6 @@ pub fn discover_store(
     config: &DiscoveryConfig,
 ) -> io::Result<Discovery> {
     let columns = column_table(schema);
-    let threads = config.effective_threads();
-    let mut stats = DiscoveryStats {
-        rows: store.total_rows(),
-        columns: columns.len(),
-        distinct_values: store.distinct_values(),
-        ..DiscoveryStats::default()
-    };
     let mut spill = SpillStats::default();
     // The spill directory must outlive every stream created from it;
     // dropping it at return removes the run files.
@@ -365,101 +371,91 @@ pub fn discover_store(
     let plan = spill_dir
         .as_ref()
         .map(|dir| BudgetPlan::new(dir, config.memory_budget, columns.len()));
-
-    let mut raw: Vec<Dependency> = Vec::new();
-    let mut scored: Vec<ScoredDependency> = Vec::new();
+    let threads = config.effective_threads();
     let streams = open_distinct_streams(store, &columns, threads, plan.as_ref(), &mut spill)?;
-    if config.max_error > 0.0 {
-        let unary = spider_merge_counting(streams, store, &columns, config.max_error);
-        for ind in mine_inds_scored(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            NaryBackend::Local(plan.as_ref()),
-            &mut stats,
-            &mut scored,
-        )? {
-            raw.push(ind.into());
-        }
-    } else {
-        let unary = spider_merge(streams);
-        for ind in mine_inds(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            plan.as_ref(),
-            &mut stats,
-        ) {
-            raw.push(ind.into());
-        }
-    }
+    mine(schema, store, streams, config, plan.as_ref(), None, spill)
+}
+
+/// The mining stages every pipeline shares once its sorted distinct
+/// column streams are open: the unary SPIDER merge, n-ary composition
+/// (validated locally, or by `exec` when one is given), the FD lattice,
+/// and cover minimization. The cover is minimized over the **exactly**
+/// satisfied subset of the raw set only — implication from premises that
+/// merely approximately hold is unsound (errors compound through
+/// derivation), so dirty dependencies stay in `raw` and `scored` but
+/// never enter the cover nor prune anything from it. Exact runs score
+/// nothing, so there the exact subset is all of `raw`.
+fn mine(
+    schema: &DatabaseSchema,
+    store: &ColumnStore,
+    streams: Vec<DistinctStream>,
+    config: &DiscoveryConfig,
+    plan: Option<&BudgetPlan>,
+    exec: Option<&mut dyn ShardExecutor>,
+    spill: SpillStats,
+) -> io::Result<Discovery> {
+    let columns = column_table(schema);
+    let threads = config.effective_threads();
+    let mut stats = DiscoveryStats {
+        rows: store.total_rows(),
+        columns: columns.len(),
+        distinct_values: store.distinct_values(),
+        ..DiscoveryStats::default()
+    };
+    let mut scored: Vec<ScoredDependency> = Vec::new();
+    let unary = spider_merge(streams, store, &columns, config.max_error);
+    let backend = match exec {
+        Some(exec) => NaryBackend::Executor(exec),
+        None => NaryBackend::Local(plan),
+    };
+    let inds = mine_inds_with(
+        schema,
+        store,
+        &columns,
+        &unary,
+        config,
+        threads,
+        backend,
+        &mut stats,
+        &mut scored,
+    )?;
+    let mut raw: Vec<Dependency> = inds.into_iter().map(Dependency::from).collect();
     stats.raw_inds = raw.len();
-    for fd in mine_fds(
+    let fds = mine_fds(
         schema,
         store,
         config,
         threads,
-        plan.as_ref(),
+        plan,
         &mut stats,
         &mut scored,
-    ) {
-        raw.push(fd.into());
-    }
+    );
+    raw.extend(fds.into_iter().map(Dependency::from));
     stats.raw_fds = raw.len() - stats.raw_inds;
-    Ok(finish_discovery(raw, scored, config, stats, spill))
-}
 
-/// Shared tail of every discovery pipeline: canonicalize the raw set,
-/// minimize the cover, and assemble the [`Discovery`]. The cover is
-/// minimized over the **exactly** satisfied subset only — implication
-/// from premises that merely approximately hold is unsound (errors
-/// compound through derivation), so dirty dependencies stay in `raw` and
-/// `scored` but never enter the cover nor prune anything from it. With
-/// `max_error == 0` the exact subset is all of `raw` and the behaviour
-/// is byte-identical to the pre-approximate pipeline.
-fn finish_discovery(
-    mut raw: Vec<Dependency>,
-    mut scored: Vec<ScoredDependency>,
-    config: &DiscoveryConfig,
-    mut stats: DiscoveryStats,
-    spill: SpillStats,
-) -> Discovery {
     raw.sort();
     raw.dedup();
     scored.sort_by(|a, b| a.dep.cmp(&b.dep));
-    let (exact_len, cover) = if config.max_error > 0.0 {
-        let mut dirty: Vec<&Dependency> = scored
-            .iter()
-            .filter(|s| s.misses > 0)
-            .map(|s| &s.dep)
-            .collect();
-        dirty.sort();
-        dirty.dedup();
-        let clean: Vec<Dependency> = raw
-            .iter()
-            .filter(|d| dirty.binary_search(d).is_err())
-            .cloned()
-            .collect();
-        let cover = minimize_cover(&clean, config);
-        (clean.len(), cover)
-    } else {
-        let cover = minimize_cover(&raw, config);
-        (raw.len(), cover)
-    };
-    stats.pruned = exact_len - cover.len();
-    Discovery {
+    // Sorted, because `scored` is.
+    let dirty: Vec<&Dependency> = scored
+        .iter()
+        .filter(|s| s.misses > 0)
+        .map(|s| &s.dep)
+        .collect();
+    let clean: Vec<Dependency> = raw
+        .iter()
+        .filter(|d| dirty.binary_search(d).is_err())
+        .cloned()
+        .collect();
+    let cover = minimize_cover(&clean, config);
+    stats.pruned = clean.len() - cover.len();
+    Ok(Discovery {
         raw,
         cover,
         scored,
         stats,
         spill,
-    }
+    })
 }
 
 /// How a positive [`DiscoveryConfig::memory_budget`] is split across the
@@ -500,7 +496,7 @@ impl<'a> BudgetPlan<'a> {
 /// [`discover_store_sharded`]. Implementations (the worker-pool
 /// coordinator in `depkit-serve`) must return **exact** results —
 /// published runs whose merge equals the column's sorted distinct set,
-/// and verdicts equal to the local validator's — because the pipeline
+/// and miss counts equal to the local validator's — because the pipeline
 /// above asserts nothing and recomputes nothing: sharded determinism is
 /// the executor's contract, not the solver's fallback.
 ///
@@ -517,19 +513,15 @@ pub trait ShardExecutor {
     /// column's sorted distinct id set.
     fn profile_columns(&mut self, ncols: usize) -> io::Result<Vec<RunSet>>;
 
-    /// Exact satisfaction verdicts for a batch of nontrivial candidates,
-    /// in batch order.
-    fn validate_candidates(&mut self, cands: &[IndCand]) -> io::Result<Vec<bool>>;
-
-    /// Exact per-candidate miss counts (left rows whose projection is
-    /// absent on the right) for a batch of nontrivial candidates, in
-    /// batch order. The approximate pipeline's analogue of
-    /// [`ShardExecutor::validate_candidates`]: where boolean refutation
-    /// may stop at the first failing pass, counting must sum **every**
-    /// key-range pass — each projection key lands in exactly one pass
-    /// (`key_shard`), so the pass sums equal the unsharded scan and the
-    /// reported confidences match every other execution mode.
-    fn count_misses(&mut self, cands: &[IndCand]) -> io::Result<Vec<u64>>;
+    /// Bounded miss counts for a batch of nontrivial candidates, in batch
+    /// order: for candidate `i`, `min(misses, caps[i] + 1)`, where
+    /// `misses` counts left rows whose projection is absent on the right.
+    /// A cap of `0` asks for a plain verdict (`0` holds, `1` refuted).
+    /// Split across key-range passes ([`refute_candidates_pass`]), the
+    /// per-pass counts sum and the sum saturates at `cap + 1`: every
+    /// projection key lands in exactly one pass, and a pass that alone
+    /// exceeds the cap pushes the total over it too.
+    fn validate_candidates(&mut self, cands: &[IndCand], caps: &[u64]) -> io::Result<Vec<u64>>;
 }
 
 /// [`discover_store`] with the two data-parallel stages — column
@@ -537,95 +529,50 @@ pub trait ShardExecutor {
 /// a [`ShardExecutor`]. The executor hands back published sorted runs,
 /// which k-way-merge ([`merge_run_set`]) into the very
 /// [`DistinctStream`]s the local pipeline would have opened, and
-/// candidate verdicts, which feed the same composition loop
+/// bounded miss counts, which feed the same composition loop
 /// (`mine_inds_with` is shared code, not a reimplementation). FD mining
 /// and cover minimization run locally on the coordinator. The result —
-/// raw set, cover, and [`DiscoveryStats`] — is byte-identical to every
-/// other execution mode; only [`Discovery::spill`] (which is outside the
-/// determinism contract) reflects the sharded run's own merges.
+/// raw set, cover, scores, and [`DiscoveryStats`] — is byte-identical to
+/// every other execution mode; only [`Discovery::spill`] (which is
+/// outside the determinism contract) reflects the sharded run's own
+/// merges.
 pub fn discover_store_sharded(
     schema: &DatabaseSchema,
     store: &ColumnStore,
     config: &DiscoveryConfig,
     exec: &mut dyn ShardExecutor,
 ) -> io::Result<Discovery> {
-    let columns = column_table(schema);
-    let threads = config.effective_threads();
-    let mut stats = DiscoveryStats {
-        rows: store.total_rows(),
-        columns: columns.len(),
-        distinct_values: store.distinct_values(),
-        ..DiscoveryStats::default()
-    };
+    let ncols = column_table(schema).len();
     let mut spill = SpillStats::default();
     // Coordinator-side scratch for consolidating worker runs; removed on
     // drop, so it must outlive the spider merge.
     let root = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
     let dir = SpillDir::create_in(&root)?;
-    let plan = (config.memory_budget > 0)
-        .then(|| BudgetPlan::new(&dir, config.memory_budget, columns.len()));
+    let plan =
+        (config.memory_budget > 0).then(|| BudgetPlan::new(&dir, config.memory_budget, ncols));
 
-    let run_sets = exec.profile_columns(columns.len())?;
-    if run_sets.len() != columns.len() {
+    let run_sets = exec.profile_columns(ncols)?;
+    if run_sets.len() != ncols {
         return Err(io::Error::other(format!(
-            "shard executor profiled {} columns, schema has {}",
+            "shard executor profiled {} columns, schema has {ncols}",
             run_sets.len(),
-            columns.len()
         )));
     }
-    let mut streams = Vec::with_capacity(columns.len());
+    let mut streams = Vec::with_capacity(ncols);
     for set in &run_sets {
         streams.push(DistinctStream::Spilled(merge_run_set(
             set, &dir, &mut spill,
         )?));
     }
-
-    let mut raw: Vec<Dependency> = Vec::new();
-    let mut scored: Vec<ScoredDependency> = Vec::new();
-    if config.max_error > 0.0 {
-        let unary = spider_merge_counting(streams, store, &columns, config.max_error);
-        for ind in mine_inds_scored(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            NaryBackend::Executor(exec),
-            &mut stats,
-            &mut scored,
-        )? {
-            raw.push(ind.into());
-        }
-    } else {
-        let unary = spider_merge(streams);
-        for ind in mine_inds_with(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            NaryBackend::Executor(exec),
-            &mut stats,
-        )? {
-            raw.push(ind.into());
-        }
-    }
-    stats.raw_inds = raw.len();
-    for fd in mine_fds(
+    mine(
         schema,
         store,
+        streams,
         config,
-        threads,
         plan.as_ref(),
-        &mut stats,
-        &mut scored,
-    ) {
-        raw.push(fd.into());
-    }
-    stats.raw_fds = raw.len() - stats.raw_inds;
-    Ok(finish_discovery(raw, scored, config, stats, spill))
+        Some(exec),
+        spill,
+    )
 }
 
 /// Worker-side profiling of one shard of the plan: publish the column's
@@ -648,65 +595,43 @@ pub fn profile_column_runs(
     publish_sorted_runs(values, chunk_ids, dir, col, &mut stats)
 }
 
-/// Worker-side n-ary refutation: which of `cands` fail on key-shard
-/// `pass` of `passes` (`key_shard`-partitioned, the same partitioning
-/// the budgeted local validator uses). A candidate is satisfied iff **no**
-/// pass refutes it, so a coordinator unions refutations across passes —
-/// every projection key is examined by exactly one pass, which is what
-/// makes the union equal the unsharded verdict. Returns refuted indices
-/// into `cands`, ascending. Trivial candidates are never refuted.
+/// Worker-side n-ary validation of key-shard `pass` of `passes`
+/// (`key_shard`-partitioned, the same partitioning the budgeted local
+/// validator uses): for each candidate, its left rows on this shard whose
+/// projection has no right-side match, counted up to `caps[i] + 1` and no
+/// further. Every projection key is examined by exactly one pass, so a
+/// coordinator sums the per-pass counts and saturates the sum at
+/// `cap + 1` to obtain the unsharded bounded count. Returns one count per
+/// candidate, in candidate order; trivial candidates count zero.
+///
+/// # Panics
+///
+/// When `caps` and `cands` differ in length.
 pub fn refute_candidates_pass(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cands: &[IndCand],
-    pass: usize,
-    passes: usize,
-) -> Vec<usize> {
-    // Group candidate indices by right side so each shard key set is
-    // built once per pass.
-    let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
-    for (i, cand) in cands.iter().enumerate() {
-        if cand.is_trivial() {
-            continue;
-        }
-        match by_rhs.get(cand.rhs.as_slice()) {
-            Some(&g) => groups[g].1.push(i),
-            None => {
-                by_rhs.insert(cand.rhs.clone(), groups.len());
-                groups.push((cand.rhs.clone(), vec![i]));
-            }
-        }
-    }
-    let mut refuted = Vec::new();
-    let mut buf = Vec::new();
-    for (rhs, members) in &groups {
-        let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-        for &i in members {
-            if !ind_holds_shard(store, columns, &cands[i], &shard, pass, passes, &mut buf) {
-                refuted.push(i);
-            }
-        }
-    }
-    refuted.sort_unstable();
-    refuted
-}
-
-/// Worker-side n-ary miss counting, the quantitative sibling of
-/// [`refute_candidates_pass`]: for each candidate, how many of its left
-/// rows on key-shard `pass` of `passes` have no matching right
-/// projection. Every projection key is examined by exactly one pass, so a
-/// coordinator *sums* the per-pass counts to obtain the exact unsharded
-/// miss count — the counting analogue of unioning refutations. Returns
-/// one count per candidate, in candidate order; trivial candidates count
-/// zero misses.
-pub fn count_candidate_misses_pass(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cands: &[IndCand],
+    caps: &[u64],
     pass: usize,
     passes: usize,
 ) -> Vec<u64> {
+    assert_eq!(cands.len(), caps.len(), "one cap per candidate");
+    let mut misses = vec![0u64; cands.len()];
+    let mut buf = Vec::new();
+    for (rhs, members) in group_by_rhs(cands) {
+        let shard = build_rhs_keys(store, columns, &rhs, pass, passes);
+        for i in members {
+            misses[i] = bounded_misses(
+                store, columns, &cands[i], &shard, pass, passes, caps[i], &mut buf,
+            );
+        }
+    }
+    misses
+}
+
+/// Nontrivial candidate indices grouped by right side, groups in
+/// first-seen order, so each right-side key set is built once.
+fn group_by_rhs(cands: &[IndCand]) -> Vec<(Vec<usize>, Vec<usize>)> {
     let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
     let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
     for (i, cand) in cands.iter().enumerate() {
@@ -721,15 +646,7 @@ pub fn count_candidate_misses_pass(
             }
         }
     }
-    let mut misses = vec![0u64; cands.len()];
-    let mut buf = Vec::new();
-    for (rhs, members) in &groups {
-        let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-        for &i in members {
-            misses[i] = ind_misses_shard(store, columns, &cands[i], &shard, pass, passes, &mut buf);
-        }
-    }
-    misses
+    groups
 }
 
 /// Saturation caps for the pruning oracle. Cover minimization calls the
@@ -900,9 +817,8 @@ pub fn column_table(schema: &DatabaseSchema) -> Vec<(usize, usize)> {
 /// The stream-opening half of the unary SPIDER stage: every column as a
 /// sorted distinct stream — the in-memory bitmap sweep under budget, a
 /// merge over spilled runs above it
-/// ([`ColumnStore::sorted_distinct_stream`]) — opened in parallel. Shared
-/// by the exact merge ([`spider_merge`]) and the counting merge
-/// ([`spider_merge_counting`]) so both consume byte-identical inputs.
+/// ([`ColumnStore::sorted_distinct_stream`]) — opened in parallel and
+/// consumed by [`spider_merge`].
 fn open_distinct_streams(
     store: &ColumnStore,
     columns: &[(usize, usize)],
@@ -932,23 +848,39 @@ fn open_distinct_streams(
     Ok(streams)
 }
 
+/// Largest miss count a dependency over `support` rows may carry and
+/// still be admitted: `⌊max_error · support⌋`, so `0` in exact mode. For
+/// integer misses, `misses ≤ cap` is exactly `misses ≤ max_error ·
+/// support`.
+fn miss_cap(max_error: f64, support: usize) -> u64 {
+    (max_error * support as f64).floor() as u64
+}
+
 /// SPIDER proper, cursor-per-attribute, over any set of sorted distinct
-/// streams: for each column, compute the columns whose value sets contain
-/// it — `result[c]` lists every `d` with `values(c) ⊆ values(d)`. One
-/// k-way merge pops all cursors sitting at the minimum value `v`; that
-/// popped group *is* the bit set of columns containing `v`, so each group
-/// member's candidate set is intersected with the group mask on the spot.
-/// No `occurs` table over the whole value domain and no materialized
-/// distinct vectors: resident state is the `ncols²`-bit candidate matrix
-/// plus one buffered cursor per column, regardless of data size. Every
-/// distinct value is touched at most once per column containing it,
-/// independent of how many rows repeat it — and values held by a *single*
-/// column (the bulk of any key column) collapse further: their candidate
-/// update is idempotent, so after the first such value the merge
-/// fast-forwards the cursor to the next other-column bound
+/// streams: for each column `c`, every column `d` whose value set covers
+/// `c`'s rows up to `c`'s miss cap ([`miss_cap`] over `c`'s relation),
+/// with the number of rows of `c` whose value `d` lacks — `result[c]`
+/// lists each such `(d, misses)`, always including the zero-miss self
+/// pair. One k-way merge pops all cursors sitting at the minimum value
+/// `v`; that popped group *is* the set of columns containing `v`, and
+/// each group member `c` charges every still-alive `d` outside the group
+/// its row frequency of `v`, dropping `d` once the charges pass `c`'s
+/// cap. At cap `0` every charge kills, so exact columns never consult a
+/// frequency and the charge is one mask intersection per bit-matrix word;
+/// the `distinct × ncols` frequency table is built only when some column
+/// tolerates misses. Counters of dropped pairs stop mattering, so the
+/// reported counts are exact and everything else stops at its cap.
+///
+/// Resident state is the `ncols²`-bit alive matrix, `ncols²` per-pair
+/// counters (plus, tolerant, the frequency table) and one buffered cursor
+/// per column, regardless of data size. Every distinct value is touched at
+/// most once per column containing it, independent of how many rows
+/// repeat it — and once a column's alive set is down to itself, values
+/// held by that column alone (the bulk of any key column) charge nothing,
+/// so the merge fast-forwards its cursor to the next other-column bound
 /// ([`DistinctStream::skip_below`] — one binary search on the resident
 /// backing) with no heap traffic at all. Empty columns never surface in
-/// the merge, so they keep every candidate — matching the
+/// the merge, so they keep every candidate at zero misses — matching the
 /// vacuous-satisfaction semantics of [`depkit_core::satisfy::check_ind`].
 ///
 /// The local pipeline feeds it streams it opened itself; the sharded
@@ -956,12 +888,37 @@ fn open_distinct_streams(
 /// worker-published runs. Identical streams in, identical candidate sets
 /// out: this shared loop is what makes `sharded == local` an equality of
 /// code paths rather than of luck.
-fn spider_merge(mut streams: Vec<DistinctStream>) -> Vec<Vec<usize>> {
+fn spider_merge(
+    mut streams: Vec<DistinctStream>,
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    max_error: f64,
+) -> Vec<Vec<(usize, u64)>> {
     let ncols = streams.len();
     let blocks = ncols.div_ceil(64);
-    // cand[c * blocks..][..blocks]: columns whose value set still covers
-    // column c's values seen so far.
-    let mut cand = vec![!0u64; ncols * blocks];
+    let caps: Vec<u64> = columns
+        .iter()
+        .map(|&(rel, _)| miss_cap(max_error, store.relation(rel).row_count()))
+        .collect();
+    let mut freq = Vec::new();
+    if caps.iter().any(|&cap| cap > 0) {
+        freq = vec![0u32; store.distinct_values() * ncols];
+        for (c, &(rel, col)) in columns.iter().enumerate() {
+            for &v in store.relation(rel).column(col) {
+                freq[v as usize * ncols + c] += 1;
+            }
+        }
+    }
+    let mut misses = vec![0u64; ncols * ncols];
+    // alive[c * blocks..][..blocks]: columns still covering column c's
+    // rows seen so far within c's cap. Padding bits stay clear.
+    let full: Vec<u64> = (0..blocks)
+        .map(|b| match ncols - b * 64 {
+            n if n >= 64 => !0,
+            n => (1 << n) - 1,
+        })
+        .collect();
+    let mut alive = full.repeat(ncols);
     let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(ncols);
     for (c, stream) in streams.iter_mut().enumerate() {
         if let Some(v) = stream.next() {
@@ -970,24 +927,16 @@ fn spider_merge(mut streams: Vec<DistinctStream>) -> Vec<Vec<usize>> {
     }
     let mut mask = vec![0u64; blocks];
     let mut group: Vec<usize> = Vec::with_capacity(ncols);
-    // Columns already reduced to the singleton candidate set {c} by a
-    // value nobody else holds: further sole values are no-ops, so their
-    // runs fast-forward below without touching the heap.
+    // Columns whose alive set is down to {c} (a column never charges
+    // itself): a value nobody else holds charges them nothing, so their
+    // runs of such values fast-forward.
     let mut soled = vec![false; ncols];
     while let Some(Reverse((v, c))) = heap.pop() {
         let shared = heap.peek().is_some_and(|&Reverse((v2, _))| v2 == v);
-        if !shared {
-            // `v` lives only in column `c`: no other column can cover
-            // `c`, so cand[c] collapses to {c} — idempotently. Apply
-            // once, then skip the whole run of values strictly below
-            // every other cursor (they are sole for the same reason)
-            // with plain stream reads, no heap traffic.
-            if !soled[c] {
-                soled[c] = true;
-                for (b, dst) in cand[c * blocks..(c + 1) * blocks].iter_mut().enumerate() {
-                    *dst &= if b == c / 64 { 1 << (c % 64) } else { 0 };
-                }
-            }
+        if !shared && soled[c] {
+            // Skip the whole run of values strictly below every other
+            // cursor (they are sole for the same reason) with plain
+            // stream reads, no heap traffic.
             let bound = heap.peek().map_or(u32::MAX, |&Reverse((m, _))| m);
             if let Some(n) = streams[c].skip_below(bound) {
                 heap.push(Reverse((n, c)));
@@ -1012,102 +961,39 @@ fn spider_merge(mut streams: Vec<DistinctStream>) -> Vec<Vec<usize>> {
                 heap.push(Reverse((n, c2)));
             }
         }
-        for &c in &group {
-            for (dst, &src) in cand[c * blocks..(c + 1) * blocks].iter_mut().zip(&mask) {
-                *dst &= src;
+        for &g in &group {
+            let row = &mut alive[g * blocks..(g + 1) * blocks];
+            if caps[g] == 0 {
+                for (dst, &src) in row.iter_mut().zip(&mask) {
+                    *dst &= src;
+                }
+                continue;
             }
-        }
-    }
-    (0..ncols)
-        .map(|c| {
-            let bits = &cand[c * blocks..(c + 1) * blocks];
-            (0..ncols)
-                .filter(|d| bits[d / 64] & (1 << (d % 64)) != 0)
-                .collect()
-        })
-        .collect()
-}
-
-/// The counting sibling of [`spider_merge`]: the same cursor-per-attribute
-/// k-way merge, but instead of intersecting candidate bit sets it
-/// accumulates, for every ordered column pair `(c, d)`, the number of
-/// **rows** of `c` whose value is absent from `d` — the row-based miss
-/// measure behind approximate unary INDs. When the merge pops value `v`
-/// with group `G` (the columns containing `v`), each `c ∈ G` contributes
-/// its frequency of `v` to `misses[c][d]` for every `d ∉ G`; summed over
-/// all values this is exactly `|{rows of c : value ∉ d}|`. Row
-/// frequencies come from a dense `distinct × ncols` table built by one
-/// scan per column — resident state the exact merge never needs, which is
-/// why the exact path keeps its own merge (and its sole-value
-/// fast-forward, unusable here because skipped values still carry miss
-/// weight). Per column `c`, returns the pairs `(d, misses)` kept by the
-/// tolerance — `misses ≤ max_error × rows(c)` — always including the
-/// zero-miss self pair. Empty columns surface nowhere in the merge, so
-/// they keep every candidate at zero misses, matching vacuous
-/// satisfaction. The output is a pure function of the streams and the
-/// store: identical across threads, budgets, and sharded profiling.
-fn spider_merge_counting(
-    mut streams: Vec<DistinctStream>,
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    max_error: f64,
-) -> Vec<Vec<(usize, u64)>> {
-    let ncols = streams.len();
-    let nvals = store.distinct_values();
-    let mut freq = vec![0u32; nvals * ncols];
-    for (c, &(rel, col)) in columns.iter().enumerate() {
-        for &v in store.relation(rel).column(col) {
-            freq[v as usize * ncols + c] += 1;
-        }
-    }
-    let mut misses = vec![0u64; ncols * ncols];
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(ncols);
-    for (c, stream) in streams.iter_mut().enumerate() {
-        if let Some(v) = stream.next() {
-            heap.push(Reverse((v, c)));
-        }
-    }
-    let mut group: Vec<usize> = Vec::with_capacity(ncols);
-    let mut in_group = vec![false; ncols];
-    while let Some(Reverse((v, c))) = heap.pop() {
-        group.clear();
-        group.push(c);
-        if let Some(n) = streams[c].next() {
-            heap.push(Reverse((n, c)));
-        }
-        while let Some(&Reverse((v2, c2))) = heap.peek() {
-            if v2 != v {
-                break;
-            }
-            heap.pop();
-            group.push(c2);
-            if let Some(n) = streams[c2].next() {
-                heap.push(Reverse((n, c2)));
-            }
-        }
-        for &c in &group {
-            in_group[c] = true;
-        }
-        for &c in &group {
-            let f = u64::from(freq[v as usize * ncols + c]);
-            for (d, row) in misses[c * ncols..(c + 1) * ncols].iter_mut().enumerate() {
-                if !in_group[d] {
-                    *row += f;
+            let f = u64::from(freq[v as usize * ncols + g]);
+            for (b, (dst, &src)) in row.iter_mut().zip(&mask).enumerate() {
+                let mut charged = *dst & !src;
+                while charged != 0 {
+                    let bit = charged.trailing_zeros() as usize;
+                    charged &= charged - 1;
+                    let count = &mut misses[g * ncols + b * 64 + bit];
+                    *count += f;
+                    if *count > caps[g] {
+                        *dst &= !(1 << bit);
+                    }
                 }
             }
         }
-        for &c in &group {
-            in_group[c] = false;
+        if !shared {
+            let row = &alive[c * blocks..(c + 1) * blocks];
+            soled[c] = row.iter().map(|w| w.count_ones()).sum::<u32>() == 1;
         }
     }
     (0..ncols)
         .map(|c| {
-            let rows = store.relation(columns[c].0).row_count() as f64;
+            let bits = &alive[c * blocks..(c + 1) * blocks];
             (0..ncols)
-                .filter_map(|d| {
-                    let m = misses[c * ncols + d];
-                    (m as f64 <= max_error * rows).then_some((d, m))
-                })
+                .filter(|d| bits[d / 64] & (1 << (d % 64)) != 0)
+                .map(|d| (d, misses[c * ncols + d]))
                 .collect()
         })
         .collect()
@@ -1144,71 +1030,67 @@ impl IndCand {
     }
 }
 
-/// Where n-ary candidate verdicts come from: the local validator (cached
-/// key sets, or budget-sharded passes under a plan) or a
-/// [`ShardExecutor`] distributing the refutation passes across worker
-/// processes. Both produce the exact satisfied set, so the composition
+/// Where n-ary candidate miss counts come from: the local validator
+/// (cached key sets, or budget-sharded passes under a plan) or a
+/// [`ShardExecutor`] distributing the key-range passes across worker
+/// processes. Both produce the same bounded counts, so the composition
 /// loop above them is shared verbatim.
 enum NaryBackend<'a, 'b> {
     Local(Option<&'a BudgetPlan<'b>>),
     Executor(&'a mut dyn ShardExecutor),
 }
 
-/// Mine every satisfied canonical IND up to `config.max_ind_arity`.
+/// Mine every canonical IND up to `config.max_ind_arity` whose misses fit
+/// its left relation's [`miss_cap`] — the satisfied ones in exact mode.
+/// Tolerant runs record every nontrivial find in `scored` with its exact
+/// misses and support; exact runs score nothing.
 ///
-/// Levels are processed one at a time. Unbounded, the distinct right-side
-/// projection sets are materialized first (in parallel) as word-packed
-/// [`KeySet`]s keyed by their global column ids — the cache persists
-/// across levels and is probed borrow-keyed, never cloning the column
-/// list — and then every candidate is validated in parallel. Under a
-/// memory budget, a right side whose key set would exceed its share is
-/// instead validated in [`key_shard`]-partitioned passes (see
-/// `validate_sharded`), and nothing is cached across levels.
-#[allow(clippy::too_many_arguments)]
-fn mine_inds(
-    schema: &DatabaseSchema,
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    unary: &[Vec<usize>],
-    config: &DiscoveryConfig,
-    threads: usize,
-    plan: Option<&BudgetPlan>,
-    stats: &mut DiscoveryStats,
-) -> Vec<Ind> {
-    mine_inds_with(
-        schema,
-        store,
-        columns,
-        unary,
-        config,
-        threads,
-        NaryBackend::Local(plan),
-        stats,
-    )
-    .expect("local validation performs no I/O")
-}
-
-/// [`mine_inds`] over an explicit [`NaryBackend`] — the executor variant
-/// is how [`discover_store_sharded`] routes level ≥ 2 validation to
-/// worker processes while keeping the composition loop (and therefore
-/// the candidate order, the stats, and the emitted set) identical.
+/// Levels are processed one at a time, and every candidate is validated
+/// by one bounded miss count ([`bounded_misses`]) that stops at
+/// `cap + 1`. Unbounded, the distinct right-side projection sets are
+/// materialized first (in parallel) as word-packed [`KeySet`]s keyed by
+/// their global column ids — the cache persists across levels and is
+/// probed borrow-keyed, never cloning the column list — and then every
+/// candidate is counted in parallel. Under a memory budget, a right side
+/// whose key set would exceed its share is instead validated in
+/// [`key_shard`]-partitioned passes (see `validate_sharded`), and nothing
+/// is cached across levels; with an executor, the passes run on worker
+/// processes.
+///
+/// Composition over approximate bases is sound a-priori-style: a
+/// projection of an IND can only miss on rows where the full tuple also
+/// misses, so `misses(projection) ≤ misses(full)` and every candidate
+/// within its cap arises from bases within theirs. Trivial candidates
+/// stay zero-miss composition bases but are never emitted.
 #[allow(clippy::too_many_arguments)]
 fn mine_inds_with(
     schema: &DatabaseSchema,
     store: &ColumnStore,
     columns: &[(usize, usize)],
-    unary: &[Vec<usize>],
+    unary: &[Vec<(usize, u64)>],
     config: &DiscoveryConfig,
     threads: usize,
     mut backend: NaryBackend,
     stats: &mut DiscoveryStats,
+    scored: &mut Vec<ScoredDependency>,
 ) -> io::Result<Vec<Ind>> {
     let mut out = Vec::new();
+    let mut admit = |cand: &IndCand, misses: u64| {
+        let ind = to_ind(schema, columns, cand);
+        if config.max_error > 0.0 {
+            scored.push(ScoredDependency {
+                dep: ind.clone().into(),
+                misses,
+                support: store.relation(cand.lrel).row_count() as u64,
+            });
+        }
+        out.push(ind);
+    };
     // Level 1, plus the per-relation-pair extension table.
     let mut level: Vec<IndCand> = Vec::new();
     let mut by_pair: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
     for (c, supersets) in unary.iter().enumerate() {
-        for &d in supersets {
+        for &(d, misses) in supersets {
             let cand = IndCand {
                 lrel: columns[c].0,
                 rrel: columns[d].0,
@@ -1216,7 +1098,7 @@ fn mine_inds_with(
                 rhs: vec![d],
             };
             if !cand.is_trivial() {
-                out.push(to_ind(schema, columns, &cand));
+                admit(&cand, misses);
             }
             by_pair
                 .entry((cand.lrel, cand.rrel))
@@ -1252,9 +1134,13 @@ fn mine_inds_with(
         if cands.is_empty() {
             break;
         }
-        let ok = match &mut backend {
+        let caps: Vec<u64> = cands
+            .iter()
+            .map(|cand| miss_cap(config.max_error, store.relation(cand.lrel).row_count()))
+            .collect();
+        let misses = match &mut backend {
             NaryBackend::Local(Some(plan)) => {
-                validate_sharded(store, columns, &cands, plan, threads)
+                validate_sharded(store, columns, &cands, &caps, plan, threads)
             }
             NaryBackend::Local(None) => {
                 // Materialize the missing right-side key sets, in parallel;
@@ -1273,17 +1159,21 @@ fn mine_inds_with(
                     }
                 }
                 let built = pool::map_indexed(threads, missing.len(), |i| {
-                    build_rhs_keys(store, columns, &missing[i])
+                    build_rhs_keys(store, columns, &missing[i], 0, 1)
                 });
                 for (cols, set) in missing.into_iter().zip(built) {
                     rhs_sets.insert(cols, set);
                 }
-                // Validate every candidate in parallel (read-only cache);
+                // Count every candidate in parallel (read-only cache);
                 // merge in candidate order so the output is thread-count
                 // independent.
                 pool::map_indexed_with(threads, cands.len(), Vec::new, |buf, i| {
                     let cand = &cands[i];
-                    cand.is_trivial() || ind_holds(store, columns, cand, &rhs_sets, buf)
+                    if cand.is_trivial() {
+                        return 0;
+                    }
+                    let keys = &rhs_sets[cand.rhs.as_slice()];
+                    bounded_misses(store, columns, cand, keys, 0, 1, caps[i], buf)
                 })
             }
             NaryBackend::Executor(exec) => {
@@ -1293,154 +1183,8 @@ fn mine_inds_with(
                     .filter(|&i| !cands[i].is_trivial())
                     .collect();
                 let batch: Vec<IndCand> = shipped.iter().map(|&i| cands[i].clone()).collect();
-                let verdicts = exec.validate_candidates(&batch)?;
-                if verdicts.len() != batch.len() {
-                    return Err(io::Error::other(format!(
-                        "shard executor returned {} verdicts for {} candidates",
-                        verdicts.len(),
-                        batch.len()
-                    )));
-                }
-                let mut ok = vec![true; cands.len()];
-                for (&i, v) in shipped.iter().zip(verdicts) {
-                    ok[i] = v;
-                }
-                ok
-            }
-        };
-        let mut next = Vec::new();
-        for (cand, ok) in cands.into_iter().zip(ok) {
-            if !cand.is_trivial() {
-                stats.ind_candidates += 1;
-            }
-            if ok {
-                if !cand.is_trivial() {
-                    out.push(to_ind(schema, columns, &cand));
-                }
-                next.push(cand);
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        level = next;
-    }
-    Ok(out)
-}
-
-/// The approximate sibling of [`mine_inds_with`]: identical composition
-/// loop, but every candidate is *counted* rather than refuted — its exact
-/// miss count (left rows with no matching right projection) decides
-/// whether it survives the tolerance, and every survivor is recorded in
-/// `scored` with its misses and support. Kept as a separate function
-/// rather than a mode flag so the exact loop stays byte-identical and
-/// boolean early-exit validation keeps its speed.
-///
-/// Composition over approximate bases is sound a-priori-style: a
-/// projection of an IND can only miss on rows where the full tuple also
-/// misses, so `misses(projection) ≤ misses(full)` and every candidate
-/// within tolerance arises from bases within tolerance. Trivial
-/// candidates stay zero-miss composition bases, exactly as in the exact
-/// loop.
-#[allow(clippy::too_many_arguments)]
-fn mine_inds_scored(
-    schema: &DatabaseSchema,
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    unary: &[Vec<(usize, u64)>],
-    config: &DiscoveryConfig,
-    threads: usize,
-    mut backend: NaryBackend,
-    stats: &mut DiscoveryStats,
-    scored: &mut Vec<ScoredDependency>,
-) -> io::Result<Vec<Ind>> {
-    let mut out = Vec::new();
-    let mut level: Vec<IndCand> = Vec::new();
-    let mut by_pair: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-    for (c, supersets) in unary.iter().enumerate() {
-        let support = store.relation(columns[c].0).row_count() as u64;
-        for &(d, miss) in supersets {
-            let cand = IndCand {
-                lrel: columns[c].0,
-                rrel: columns[d].0,
-                lhs: vec![c],
-                rhs: vec![d],
-            };
-            if !cand.is_trivial() {
-                let ind = to_ind(schema, columns, &cand);
-                scored.push(ScoredDependency {
-                    dep: ind.clone().into(),
-                    misses: miss,
-                    support,
-                });
-                out.push(ind);
-            }
-            by_pair
-                .entry((cand.lrel, cand.rrel))
-                .or_default()
-                .push((c, d));
-            level.push(cand);
-        }
-    }
-    let mut rhs_sets: FastMap<Vec<usize>, KeySet> = FastMap::default();
-    for _arity in 2..=config.max_ind_arity {
-        let mut cands: Vec<IndCand> = Vec::new();
-        for base in &level {
-            let Some(extensions) = by_pair.get(&(base.lrel, base.rrel)) else {
-                continue;
-            };
-            for &(a, b) in extensions {
-                if a <= *base.lhs.last().expect("bases are nonempty") || base.rhs.contains(&b) {
-                    continue;
-                }
-                cands.push(IndCand {
-                    lrel: base.lrel,
-                    rrel: base.rrel,
-                    lhs: base.lhs.iter().copied().chain([a]).collect(),
-                    rhs: base.rhs.iter().copied().chain([b]).collect(),
-                });
-            }
-        }
-        if cands.is_empty() {
-            break;
-        }
-        let misses: Vec<u64> = match &mut backend {
-            NaryBackend::Local(Some(plan)) => {
-                count_misses_sharded(store, columns, &cands, plan, threads)
-            }
-            NaryBackend::Local(None) => {
-                let mut missing: Vec<Vec<usize>> = Vec::new();
-                let mut queued: FastSet<Vec<usize>> = FastSet::default();
-                for cand in &cands {
-                    if !cand.is_trivial()
-                        && !rhs_sets.contains_key(cand.rhs.as_slice())
-                        && !queued.contains(cand.rhs.as_slice())
-                    {
-                        queued.insert(cand.rhs.clone());
-                        missing.push(cand.rhs.clone());
-                    }
-                }
-                let built = pool::map_indexed(threads, missing.len(), |i| {
-                    build_rhs_keys(store, columns, &missing[i])
-                });
-                for (cols, set) in missing.into_iter().zip(built) {
-                    rhs_sets.insert(cols, set);
-                }
-                pool::map_indexed_with(threads, cands.len(), Vec::new, |buf, i| {
-                    let cand = &cands[i];
-                    if cand.is_trivial() {
-                        0
-                    } else {
-                        ind_misses(store, columns, cand, &rhs_sets, buf)
-                    }
-                })
-            }
-            NaryBackend::Executor(exec) => {
-                let shipped: Vec<usize> = (0..cands.len())
-                    .filter(|&i| !cands[i].is_trivial())
-                    .collect();
-                let batch: Vec<IndCand> = shipped.iter().map(|&i| cands[i].clone()).collect();
-                let counts = exec.count_misses(&batch)?;
+                let batch_caps: Vec<u64> = shipped.iter().map(|&i| caps[i]).collect();
+                let counts = exec.validate_candidates(&batch, &batch_caps)?;
                 if counts.len() != batch.len() {
                     return Err(io::Error::other(format!(
                         "shard executor returned {} miss counts for {} candidates",
@@ -1456,20 +1200,13 @@ fn mine_inds_scored(
             }
         };
         let mut next = Vec::new();
-        for (cand, miss) in cands.into_iter().zip(misses) {
+        for ((cand, misses), cap) in cands.into_iter().zip(misses).zip(caps) {
             if !cand.is_trivial() {
                 stats.ind_candidates += 1;
             }
-            let support = store.relation(cand.lrel).row_count() as u64;
-            if miss as f64 <= config.max_error * support as f64 {
+            if misses <= cap {
                 if !cand.is_trivial() {
-                    let ind = to_ind(schema, columns, &cand);
-                    scored.push(ScoredDependency {
-                        dep: ind.clone().into(),
-                        misses: miss,
-                        support,
-                    });
-                    out.push(ind);
+                    admit(&cand, misses);
                 }
                 next.push(cand);
             }
@@ -1482,64 +1219,37 @@ fn mine_inds_scored(
     Ok(out)
 }
 
-/// Materialize the distinct right-side projections of one global-column
-/// set as a word-packed [`KeySet`].
-fn build_rhs_keys(store: &ColumnStore, columns: &[(usize, usize)], rhs: &[usize]) -> KeySet {
-    let rrel = columns[rhs[0]].0;
-    let rcols: Vec<usize> = rhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(rrel);
-    let cursor = ColumnCursor::new(rel, &rcols);
-    let mut set = KeySet::with_arity(rcols.len());
-    let mut buf = Vec::with_capacity(rcols.len());
-    for r in 0..rel.row_count() {
-        cursor.fill(r, &mut buf);
-        set.insert(&buf);
-    }
-    set
-}
-
-/// Validate a candidate: every left projection must appear among the right
-/// projections. A pure column-gather scan — the reused `buf` is the only
-/// storage touched per row.
-fn ind_holds(
+/// The one validation kernel: a candidate's left rows on key shard `pass`
+/// of `passes` whose projection is absent from `keys` (that shard's right
+/// key set), counted up to `cap + 1` — the scan returns
+/// `min(misses, cap + 1)` and stops there, so `cap = 0` is a plain
+/// refutation that exits at the first counterexample. A pure
+/// column-gather scan: the reused `buf` is the only storage touched per
+/// row, and with one pass no key is hashed. Summed over all passes the
+/// (unsaturated) counts are the unsharded count, because [`key_shard`]
+/// assigns every key to exactly one pass.
+#[allow(clippy::too_many_arguments)]
+fn bounded_misses(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cand: &IndCand,
-    rhs_sets: &FastMap<Vec<usize>, KeySet>,
-    buf: &mut Vec<u32>,
-) -> bool {
-    let keys = &rhs_sets[cand.rhs.as_slice()];
-    let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(cand.lrel);
-    let cursor = ColumnCursor::new(rel, &lcols);
-    for r in 0..rel.row_count() {
-        cursor.fill(r, buf);
-        if !keys.contains(buf) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Count a candidate's misses: left rows whose projection is absent from
-/// the right key set. [`ind_holds`] without the early return — the full
-/// scan is the price of the exact count.
-fn ind_misses(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cand: &IndCand,
-    rhs_sets: &FastMap<Vec<usize>, KeySet>,
+    keys: &KeySet,
+    pass: usize,
+    passes: usize,
+    cap: u64,
     buf: &mut Vec<u32>,
 ) -> u64 {
-    let keys = &rhs_sets[cand.rhs.as_slice()];
     let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
     let rel = store.relation(cand.lrel);
     let cursor = ColumnCursor::new(rel, &lcols);
     let mut misses = 0u64;
     for r in 0..rel.row_count() {
         cursor.fill(r, buf);
-        if !keys.contains(buf) {
+        if (passes == 1 || key_shard(buf, passes) == pass) && !keys.contains(buf) {
             misses += 1;
+            if misses > cap {
+                break;
+            }
         }
     }
     misses
@@ -1571,7 +1281,7 @@ fn keyset_bytes_estimate(rows: usize, arity: usize) -> usize {
 /// The right-side build and the left-side probe must agree on this, and
 /// it must depend on nothing but the key itself — then pass `p` validates
 /// exactly the keys the unsharded validator would have looked up in shard
-/// `p`, and the sharded verdict equals the unsharded one.
+/// `p`, and the sharded count equals the unsharded one.
 fn key_shard(key: &[u32], passes: usize) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &v in key {
@@ -1586,99 +1296,43 @@ fn key_shard(key: &[u32], passes: usize) -> usize {
 /// share, run `passes = est / share` hash-partitioned passes — build the
 /// shard-`p` subset of the right keys, then scan every member candidate's
 /// left rows restricted to shard `p` (parallel over candidates, merged in
-/// candidate order). A candidate is valid iff it survives every pass.
-/// Verdicts are exactly the unsharded ones; only peak memory differs.
+/// candidate order). Each candidate carries its residual cap from pass to
+/// pass; one that has passed its cap is dead and skips the later passes.
+/// Returns `min(misses, cap + 1)` per candidate — exactly the unsharded
+/// counts; only peak memory differs.
 fn validate_sharded(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cands: &[IndCand],
-    plan: &BudgetPlan,
-    threads: usize,
-) -> Vec<bool> {
-    // Trivial candidates hold by definition, mirroring the unsharded path.
-    let mut ok = vec![true; cands.len()];
-    // Group candidate indices by right side, first-seen order.
-    let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
-    for (i, cand) in cands.iter().enumerate() {
-        if cand.is_trivial() {
-            continue;
-        }
-        match by_rhs.get(cand.rhs.as_slice()) {
-            Some(&g) => groups[g].1.push(i),
-            None => {
-                by_rhs.insert(cand.rhs.clone(), groups.len());
-                groups.push((cand.rhs.clone(), vec![i]));
-            }
-        }
-    }
-    for (rhs, members) in &groups {
-        let rrel = columns[rhs[0]].0;
-        let rows = store.relation(rrel).row_count();
-        let passes = keyset_bytes_estimate(rows, rhs.len())
-            .div_ceil(plan.keyset_share)
-            .clamp(1, MAX_KEY_PASSES);
-        for pass in 0..passes {
-            // Candidates already refuted by an earlier pass need no more
-            // scans; skipping them cannot change any verdict.
-            let alive: Vec<usize> = members.iter().copied().filter(|&i| ok[i]).collect();
-            if alive.is_empty() {
-                break;
-            }
-            let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-            let verdicts = pool::map_subset_with(threads, &alive, Vec::new, |buf, i| {
-                ind_holds_shard(store, columns, &cands[i], &shard, pass, passes, buf)
-            });
-            for (&i, good) in alive.iter().zip(verdicts) {
-                ok[i] = good;
-            }
-        }
-    }
-    ok
-}
-
-/// Memory-budgeted miss counting: [`validate_sharded`]'s pass structure
-/// with the boolean verdicts replaced by per-pass miss sums. Two
-/// deliberate differences: there is **no** early break — a candidate
-/// already over tolerance still needs its exact count, and every
-/// projection key lands in exactly one [`key_shard`] pass, so only the
-/// full pass sum equals the unsharded [`ind_misses`] scan; and trivial
-/// candidates count zero without scanning. The per-pass shard sets obey
-/// the same budget share as boolean validation.
-fn count_misses_sharded(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cands: &[IndCand],
+    caps: &[u64],
     plan: &BudgetPlan,
     threads: usize,
 ) -> Vec<u64> {
+    // Trivial candidates miss nothing, mirroring the unsharded path.
     let mut misses = vec![0u64; cands.len()];
-    let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
-    for (i, cand) in cands.iter().enumerate() {
-        if cand.is_trivial() {
-            continue;
-        }
-        match by_rhs.get(cand.rhs.as_slice()) {
-            Some(&g) => groups[g].1.push(i),
-            None => {
-                by_rhs.insert(cand.rhs.clone(), groups.len());
-                groups.push((cand.rhs.clone(), vec![i]));
-            }
-        }
-    }
-    for (rhs, members) in &groups {
+    for (rhs, members) in group_by_rhs(cands) {
         let rrel = columns[rhs[0]].0;
         let rows = store.relation(rrel).row_count();
         let passes = keyset_bytes_estimate(rows, rhs.len())
             .div_ceil(plan.keyset_share)
             .clamp(1, MAX_KEY_PASSES);
         for pass in 0..passes {
-            let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-            let counts = pool::map_subset_with(threads, members, Vec::new, |buf, i| {
-                ind_misses_shard(store, columns, &cands[i], &shard, pass, passes, buf)
+            let alive: Vec<usize> = members
+                .iter()
+                .copied()
+                .filter(|&i| misses[i] <= caps[i])
+                .collect();
+            if alive.is_empty() {
+                break;
+            }
+            let shard = build_rhs_keys(store, columns, &rhs, pass, passes);
+            let counts = pool::map_subset_with(threads, &alive, Vec::new, |buf, i| {
+                let residual = caps[i] - misses[i];
+                bounded_misses(
+                    store, columns, &cands[i], &shard, pass, passes, residual, buf,
+                )
             });
-            for (&i, m) in members.iter().zip(counts) {
+            for (&i, m) in alive.iter().zip(counts) {
                 misses[i] += m;
             }
         }
@@ -1686,9 +1340,11 @@ fn count_misses_sharded(
     misses
 }
 
-/// The shard-`pass` subset of [`build_rhs_keys`]: only right keys whose
-/// [`key_shard`] is `pass` enter the set.
-fn build_rhs_keys_shard(
+/// Materialize the distinct right-side projections of one global-column
+/// set on key shard `pass` of `passes` as a word-packed [`KeySet`]: only
+/// keys whose [`key_shard`] is `pass` enter the set, and with one pass
+/// every key does, unhashed.
+fn build_rhs_keys(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     rhs: &[usize],
@@ -1703,62 +1359,11 @@ fn build_rhs_keys_shard(
     let mut buf = Vec::with_capacity(rcols.len());
     for r in 0..rel.row_count() {
         cursor.fill(r, &mut buf);
-        if key_shard(&buf, passes) == pass {
+        if passes == 1 || key_shard(&buf, passes) == pass {
             set.insert(&buf);
         }
     }
     set
-}
-
-/// The shard-`pass` slice of [`ind_holds`]: left rows outside the shard
-/// are someone else's pass; rows inside it must appear in the shard set.
-#[allow(clippy::too_many_arguments)]
-fn ind_holds_shard(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cand: &IndCand,
-    shard: &KeySet,
-    pass: usize,
-    passes: usize,
-    buf: &mut Vec<u32>,
-) -> bool {
-    let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(cand.lrel);
-    let cursor = ColumnCursor::new(rel, &lcols);
-    for r in 0..rel.row_count() {
-        cursor.fill(r, buf);
-        if key_shard(buf, passes) == pass && !shard.contains(buf) {
-            return false;
-        }
-    }
-    true
-}
-
-/// The counting slice of [`ind_misses`]: misses among the left rows whose
-/// projection key falls on shard `pass`. Summed over all passes this is
-/// the exact unsharded miss count, because [`key_shard`] assigns every
-/// key to exactly one pass.
-#[allow(clippy::too_many_arguments)]
-fn ind_misses_shard(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cand: &IndCand,
-    shard: &KeySet,
-    pass: usize,
-    passes: usize,
-    buf: &mut Vec<u32>,
-) -> u64 {
-    let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(cand.lrel);
-    let cursor = ColumnCursor::new(rel, &lcols);
-    let mut misses = 0u64;
-    for r in 0..rel.row_count() {
-        cursor.fill(r, buf);
-        if key_shard(buf, passes) == pass && !shard.contains(buf) {
-            misses += 1;
-        }
-    }
-    misses
 }
 
 /// Resolve a candidate's global column ids back to a string-typed [`Ind`].
@@ -1801,14 +1406,13 @@ struct NodeResult {
 /// the left side only and the next level recomputes partitions via
 /// [`recompute_partition`] (the memory-budgeted mode).
 ///
-/// `g3_budget` is `None` in exact mode ([`Refiner::determines`], with its
-/// first-disagreement early exit) and `Some(max_error × rows)` in
-/// approximate mode, where a column is "determined" when its
-/// [`Refiner::g3_error`] fits the budget. g3 is monotone non-increasing
-/// as `X` grows, so both minimality pruning (a subset within budget makes
-/// every superset within budget, hence non-minimal) and the superkey
-/// prune (an empty stripped partition has g3 = 0 everywhere) remain valid
-/// at any threshold.
+/// A column counts as determined when its [`Refiner::g3_error`], bounded
+/// at `cap + 1`, fits `cap` — `0` in exact mode, where the bounded g3
+/// test is a plain agreement check that stops at the first disagreeing
+/// class. g3 is monotone non-increasing as `X` grows, so both minimality
+/// pruning (a subset within the cap makes every superset within it,
+/// hence non-minimal) and the superkey prune (an empty stripped partition
+/// has g3 = 0 everywhere) remain valid at any cap.
 #[allow(clippy::too_many_arguments)]
 fn check_fd_node(
     rel: &RelationColumns,
@@ -1819,7 +1423,7 @@ fn check_fd_node(
     refiner: &mut Refiner,
     last_level: bool,
     carry: bool,
-    g3_budget: Option<f64>,
+    cap: u64,
 ) -> NodeResult {
     let determined = |c: usize| {
         found
@@ -1841,18 +1445,9 @@ fn check_fd_node(
         ..NodeResult::default()
     };
     for &c in &rhs {
-        match g3_budget {
-            None => {
-                if Refiner::determines(partition, rel.column(c)) {
-                    node.determined_cols.push((c, 0));
-                }
-            }
-            Some(budget) => {
-                let err = Refiner::g3_error(partition, rel.column(c));
-                if err as f64 <= budget {
-                    node.determined_cols.push((c, err));
-                }
-            }
+        let err = Refiner::g3_error(partition, rel.column(c), cap);
+        if err <= cap {
+            node.determined_cols.push((c, err));
         }
     }
     // Superkey prune: with no class of size ≥ 2 left, X determines
@@ -1940,9 +1535,9 @@ fn mine_fds(
         let rel = store.relation(ri);
         let arity = scheme.arity();
         let rows = rel.row_count();
-        // Approximate mode: a column is determined when its g3 error fits
-        // `max_error` of the relation's rows; each find is scored below.
-        let g3_budget = (config.max_error > 0.0).then_some(config.max_error * rows as f64);
+        // A column is determined when its g3 error fits the relation's
+        // miss cap; tolerant runs score each find below.
+        let cap = miss_cap(config.max_error, rows);
         // External when even one partition per attribute would overrun
         // the share — a deterministic function of the data shape.
         let external = plan.is_some_and(|p| 4 * rows * arity > p.fd_share);
@@ -1976,7 +1571,7 @@ fn mine_fds(
                     refiner,
                     size == config.max_fd_lhs,
                     !external,
-                    g3_budget,
+                    cap,
                 )
             };
             let results: Vec<NodeResult> = if !external {
@@ -2570,28 +2165,21 @@ mod tests {
                 .collect()
         }
 
-        fn validate_candidates(&mut self, cands: &[IndCand]) -> io::Result<Vec<bool>> {
-            let columns = column_table(self.schema);
-            let mut ok = vec![true; cands.len()];
-            for pass in 0..self.passes {
-                for i in refute_candidates_pass(self.store, &columns, cands, pass, self.passes) {
-                    ok[i] = false;
-                }
-            }
-            Ok(ok)
-        }
-
-        fn count_misses(&mut self, cands: &[IndCand]) -> io::Result<Vec<u64>> {
+        fn validate_candidates(&mut self, cands: &[IndCand], caps: &[u64]) -> io::Result<Vec<u64>> {
             let columns = column_table(self.schema);
             let mut misses = vec![0u64; cands.len()];
             for pass in 0..self.passes {
                 let counts =
-                    count_candidate_misses_pass(self.store, &columns, cands, pass, self.passes);
+                    refute_candidates_pass(self.store, &columns, cands, caps, pass, self.passes);
                 for (sum, m) in misses.iter_mut().zip(counts) {
                     *sum += m;
                 }
             }
-            Ok(misses)
+            Ok(misses
+                .into_iter()
+                .zip(caps)
+                .map(|(m, &cap)| m.min(cap + 1))
+                .collect())
         }
     }
 

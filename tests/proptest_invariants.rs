@@ -443,6 +443,130 @@ proptest! {
         }
     }
 
+    /// The bounded-miss kernel's saturation law, on random stores and
+    /// canonical candidates. Split into `passes` key-range passes, the
+    /// per-pass counts — each bounded at `cap + 1` — sum, saturated at
+    /// `cap + 1`, to the brute-force row-miss count saturated the same
+    /// way, for caps 0, 1, a random `k` and the row count. At cap 0 the
+    /// verdict is the reference engine's. And the unary SPIDER merge
+    /// admits exactly the column pairs within their cap, each with its
+    /// exact brute-force miss count.
+    #[test]
+    fn bounded_miss_kernel_obeys_the_saturation_law(seed in any::<u64>()) {
+        use depkit_core::column::ColumnStore;
+        use depkit_solver::discover::{
+            column_table, discover_reference, discover_with_config, refute_candidates_pass,
+            DiscoveryConfig, IndCand,
+        };
+        use std::collections::HashSet;
+        let mut rng = Rng::new(seed);
+        let schema = random_schema(&mut rng, &SchemaConfig {
+            relations: 2, min_arity: 1, max_arity: 3,
+        });
+        let db = random_database(&mut rng, &schema, 10, 3);
+        let store = ColumnStore::new(&db);
+        let columns = column_table(&schema);
+        let schemes = schema.schemes();
+        let offset = |rel: usize| schemes[..rel].iter().map(|s| s.arity()).sum::<usize>();
+        let rows = |rel: usize| store.relation(rel).row_count();
+        let key = |rel: usize, cols: &[usize], r: usize| -> Vec<u32> {
+            cols.iter().map(|&c| store.relation(rel).column(c)[r]).collect()
+        };
+        // Left rows whose projection no right row carries.
+        let brute = |lrel: usize, lpos: &[usize], rrel: usize, rpos: &[usize]| -> u64 {
+            let right: HashSet<Vec<u32>> = (0..rows(rrel)).map(|r| key(rrel, rpos, r)).collect();
+            (0..rows(lrel)).filter(|&r| !right.contains(&key(lrel, lpos, r))).count() as u64
+        };
+        let to_dep = |lrel: usize, lpos: &[usize], rrel: usize, rpos: &[usize]| -> Dependency {
+            Ind::new(
+                schemes[lrel].name().clone(),
+                schemes[lrel].attrs().select(lpos).unwrap(),
+                schemes[rrel].name().clone(),
+                schemes[rrel].attrs().select(rpos).unwrap(),
+            ).unwrap().into()
+        };
+
+        // Random canonical candidates (left positions ascending).
+        let mut cands = Vec::new();
+        let mut expected = Vec::new();
+        let mut deps = Vec::new();
+        for _ in 0..8 {
+            let (lrel, rrel) = (rng.below(schemes.len()), rng.below(schemes.len()));
+            let width = schemes[lrel].arity().min(schemes[rrel].arity()).min(3);
+            let k = 1 + rng.below(width);
+            let mut lpos = rng.distinct_indices(schemes[lrel].arity(), k);
+            lpos.sort_unstable();
+            let rpos = rng.distinct_indices(schemes[rrel].arity(), k);
+            cands.push(IndCand {
+                lrel,
+                rrel,
+                lhs: lpos.iter().map(|&p| offset(lrel) + p).collect(),
+                rhs: rpos.iter().map(|&p| offset(rrel) + p).collect(),
+            });
+            expected.push(brute(lrel, &lpos, rrel, &rpos));
+            deps.push(to_dep(lrel, &lpos, rrel, &rpos));
+        }
+        let random_k = rng.below(6) as u64;
+        for cap in [0, 1, random_k, store.total_rows() as u64] {
+            let caps = vec![cap; cands.len()];
+            for passes in [1usize, 2, 3, 7] {
+                let mut sums = vec![0u64; cands.len()];
+                for pass in 0..passes {
+                    let counts = refute_candidates_pass(&store, &columns, &cands, &caps, pass, passes);
+                    for (sum, m) in sums.iter_mut().zip(counts) {
+                        prop_assert!(m <= cap + 1, "pass count {} past cap {}", m, cap);
+                        *sum += m;
+                    }
+                }
+                for (i, cand) in cands.iter().enumerate() {
+                    if cand.is_trivial() {
+                        prop_assert_eq!(sums[i], 0);
+                        continue;
+                    }
+                    prop_assert_eq!(
+                        sums[i].min(cap + 1), expected[i].min(cap + 1),
+                        "{} at cap {} over {} passes", deps[i], cap, passes
+                    );
+                }
+            }
+        }
+        // Only the raw sets matter here; the cross-class cover pruning
+        // would dominate the run time.
+        let config = DiscoveryConfig {
+            interaction_pruning: false,
+            threads: 1,
+            ..DiscoveryConfig::default()
+        };
+        let reference = discover_reference(&db, &config);
+        let caps = vec![0; cands.len()];
+        let verdicts = refute_candidates_pass(&store, &columns, &cands, &caps, 0, 1);
+        for (i, cand) in cands.iter().enumerate() {
+            if !cand.is_trivial() {
+                prop_assert_eq!(verdicts[i] == 0, reference.raw.contains(&deps[i]), "{}", deps[i]);
+            }
+        }
+
+        let max_error = [0.1, 0.25, 0.5][rng.below(3)];
+        let found = discover_with_config(&db, &DiscoveryConfig { max_error, ..config });
+        for (c, &(lrel, lc)) in columns.iter().enumerate() {
+            for (d, &(rrel, rc)) in columns.iter().enumerate() {
+                if c == d {
+                    continue;
+                }
+                let misses = brute(lrel, &[lc], rrel, &[rc]);
+                let cap = (max_error * rows(lrel) as f64).floor() as u64;
+                let dep = to_dep(lrel, &[lc], rrel, &[rc]);
+                let scored = found.scored.iter().find(|s| s.dep == dep);
+                if misses <= cap {
+                    let s = scored.unwrap_or_else(|| panic!("{dep} within cap {cap} was dropped"));
+                    prop_assert_eq!((s.misses, s.support), (misses, rows(lrel) as u64), "{}", dep);
+                } else {
+                    prop_assert!(scored.is_none(), "{} with {} misses past cap {}", dep, misses, cap);
+                }
+            }
+        }
+    }
+
     /// Spill round-trip: writing an arbitrary id multiset as sorted runs
     /// and merging the runs back yields exactly the in-memory
     /// `sorted_distinct` answer, for any chunk size — the spilled and

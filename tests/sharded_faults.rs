@@ -13,6 +13,11 @@
 //! * **corrupt** — the worker publishes a run, then flips one byte of
 //!   it; manifest verification rejects the completion and the shard is
 //!   re-run, never silently merged.
+//!
+//! The refute-pass drills also run under a tolerance, where passes report
+//! miss counts that the coordinator *sums*: there a late duplicate merged
+//! twice would inflate the scores, so those runs must match the local
+//! `scored` set too.
 
 use depkit_core::column::ColumnStore;
 use depkit_core::{Database, DatabaseSchema};
@@ -63,6 +68,17 @@ fn run_with_fault(
     cfg: ShardConfig,
     fault: &str,
 ) -> (Discovery, ShardStats, ShardStats) {
+    run_with_fault_under(db, workers, cfg, fault, &DiscoveryConfig::default())
+}
+
+/// [`run_with_fault`] under an explicit discovery configuration.
+fn run_with_fault_under(
+    db: &Database,
+    workers: usize,
+    cfg: ShardConfig,
+    fault: &str,
+    config: &DiscoveryConfig,
+) -> (Discovery, ShardStats, ShardStats) {
     let fault = FaultPlan::parse(fault).unwrap();
     let coordinator = Coordinator::bind("127.0.0.1:0", cfg).unwrap();
     let addr = coordinator.local_addr().to_string();
@@ -80,9 +96,7 @@ fn run_with_fault(
         .collect();
     let schema = db.schema().clone();
     let store = ColumnStore::new(db);
-    let (found, at_completion) = coordinator
-        .run(&schema, &store, &DiscoveryConfig::default(), workers)
-        .unwrap();
+    let (found, at_completion) = coordinator.run(&schema, &store, config, workers).unwrap();
     for h in handles {
         h.join().unwrap().unwrap();
     }
@@ -183,5 +197,69 @@ fn every_fault_scenario_converges_on_a_multi_fault_plan() {
     assert_eq!(stats.checksum_rejected, 1, "{stats:?}");
     assert!(stats.reassigned >= 1, "{stats:?}");
     assert!(stats.retried >= 2, "{stats:?}");
+    assert_eq!(drained.completed, drained.shards);
+}
+
+/// The running example with one dangling employee: `EMP[DEPT] ⊆
+/// DEPT[DNO]`, `EMP[MGR] ⊆ DEPT[HEAD]` and the binary IND over both
+/// miss on one of EMP's four rows, so a 30% tolerance (cap 1) admits all
+/// three with misses and the refute passes carry nonzero counts.
+fn dirtied_example() -> Database {
+    let mut db = worked_example();
+    db.insert_str("EMP", &[&["galois", "duel", "nobody"]])
+        .unwrap();
+    db
+}
+
+fn tolerant() -> DiscoveryConfig {
+    DiscoveryConfig {
+        max_error: 0.3,
+        ..DiscoveryConfig::default()
+    }
+}
+
+/// Tolerant runs must match the local run on the scores too: a merged
+/// duplicate of a refute pass would add its miss counts twice.
+fn assert_identical_scored(local: &Discovery, sharded: &Discovery, scenario: &str) {
+    assert_identical(local, sharded, scenario);
+    assert_eq!(local.scored, sharded.scored, "{scenario}: scores diverged");
+    let binary = local
+        .scored
+        .iter()
+        .find(|s| s.dep.to_string() == "EMP[DEPT, MGR] <= DEPT[DNO, HEAD]")
+        .expect("the dirty binary IND is mined at 30% tolerance");
+    assert_eq!((binary.misses, binary.support), (1, 4), "{scenario}");
+}
+
+#[test]
+fn tolerant_killed_refute_worker_retries_to_identical_scores() {
+    let db = dirtied_example();
+    let local = discover_with_config(&db, &tolerant());
+    let (sharded, stats, _) =
+        run_with_fault_under(&db, 2, fast_cfg(), "kill:refute:0", &tolerant());
+    assert_identical_scored(&local, &sharded, "tolerant kill:refute");
+    assert_eq!(stats.completed, stats.shards);
+    assert!(
+        stats.retried + stats.reassigned >= 1,
+        "the refute-phase kill must exercise the retry path: {stats:?}"
+    );
+}
+
+#[test]
+fn tolerant_stalled_refute_worker_is_counted_once_not_twice() {
+    let db = dirtied_example();
+    let local = discover_with_config(&db, &tolerant());
+    let (sharded, stats, drained) =
+        run_with_fault_under(&db, 2, fast_cfg(), "stall:refute:0:1200", &tolerant());
+    assert_identical_scored(&local, &sharded, "tolerant stall:refute");
+    assert_eq!(stats.completed, stats.shards);
+    assert!(
+        stats.reassigned >= 1,
+        "the stall must trip the heartbeat timeout: {stats:?}"
+    );
+    assert!(
+        drained.stale_results > 0,
+        "the staller's late counts must be rejected as stale, not summed: {drained:?}"
+    );
     assert_eq!(drained.completed, drained.shards);
 }
