@@ -1,5 +1,5 @@
 //! Criterion bench: what durability *costs* per commit — the same
-//! churn-batch commit round as `concurrent_validation/single_session`,
+//! churn-batch commit round as `incremental_validation/delta_incremental`,
 //! priced through the write-ahead-logged catalog at each
 //! [`FsyncPolicy`], against the in-memory catalog as the floor.
 //!
@@ -21,8 +21,7 @@
 //! interval policy exists to amortize.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use depkit_bench::{referential_workload, scoped_churn_delta};
-use depkit_core::delta::Delta;
+use depkit_bench::{commit_round, referential_workload, scoped_churn_delta};
 use depkit_core::wal::FsyncPolicy;
 use depkit_solver::incremental::{CatalogState, Durability, DurabilityConfig};
 use std::hint::black_box;
@@ -31,14 +30,6 @@ use std::path::PathBuf;
 const EMPS: usize = 16_000;
 const DEPTS: usize = 64;
 const BATCH: usize = 64;
-
-fn commit_round(cat: &CatalogState, delta: &Delta) {
-    let mut s = cat.begin();
-    s.stage(black_box(delta))
-        .expect("churn rows fit the schema");
-    s.commit();
-    black_box(cat.snapshot().is_consistent());
-}
 
 fn bench_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("depkit-bench-durable-{tag}-{}", std::process::id()));
@@ -58,8 +49,8 @@ fn bench_durable_commit(c: &mut Criterion) {
         let cat = CatalogState::new(&schema, &sigma).expect("FD/IND sigma compiles");
         cat.seed(&db).expect("workload rows fit the schema");
         b.iter(|| {
-            commit_round(&cat, &delta);
-            commit_round(&cat, &inverse);
+            black_box(commit_round(&cat, &delta));
+            black_box(commit_round(&cat, &inverse));
         })
     });
 
@@ -87,8 +78,8 @@ fn bench_durable_commit(c: &mut Criterion) {
             // from growing across the whole sample run.
             dur.checkpoint(&cat).expect("seed checkpoint");
             b.iter(|| {
-                commit_round(&cat, &delta);
-                commit_round(&cat, &inverse);
+                black_box(commit_round(&cat, &delta));
+                black_box(commit_round(&cat, &inverse));
             });
             drop(cat);
             drop(dur);

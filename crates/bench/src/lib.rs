@@ -9,6 +9,8 @@ use depkit_core::dependency::{Dependency, Fd, Ind};
 use depkit_core::index::ValueInterner;
 use depkit_core::schema::{DatabaseSchema, RelationScheme};
 use depkit_core::value::Value;
+use depkit_solver::incremental::CatalogState;
+use std::hint::black_box;
 
 /// A chain of typed INDs `R_0[A..] ⊆ R_1[A..] ⊆ ... ⊆ R_len[A..]` over
 /// `width`-attribute schemes, plus the end-to-end target. Exercises both
@@ -198,6 +200,18 @@ pub fn scoped_churn_delta(emps: usize, depts: usize, batch: usize, range_start: 
     d
 }
 
+/// One session round trip on `cat`: begin, stage `delta`, commit, then
+/// the O(log) post-commit consistency check of a fresh snapshot — the
+/// per-batch write path of `depkit serve` and `depkit validate`, and the
+/// unit the validation benches price.
+pub fn commit_round(cat: &CatalogState, delta: &Delta) -> bool {
+    let mut s = cat.begin();
+    s.stage(black_box(delta))
+        .expect("churn rows fit the schema");
+    s.commit();
+    cat.snapshot().is_consistent()
+}
+
 /// Wall-clock a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
@@ -359,21 +373,25 @@ mod tests {
 
     #[test]
     fn referential_workload_is_consistent_and_churns_cleanly() {
-        use depkit_solver::incremental::{full_violations, Validator};
+        use depkit_solver::incremental::full_violations;
         let (schema, sigma, mut db) = referential_workload(100, 7);
         assert!(full_violations(&db, &sigma).unwrap().is_empty());
 
         let delta = employee_churn_delta(100, 7, 16);
-        let mut v = Validator::new(&schema, &sigma).unwrap();
-        v.seed(&db).unwrap();
+        let catalog = CatalogState::new(&schema, &sigma).unwrap();
+        catalog.seed(&db).unwrap();
         let before = db.clone();
         // Churn forward and back: consistent at every checkpoint, and the
         // inverse restores the exact database.
         for d in [&delta, &delta.inverse()] {
-            v.apply(d).unwrap();
-            db.apply_delta(d).unwrap();
-            assert!(v.is_consistent());
-            assert_eq!(v.violations(), full_violations(&db, &sigma).unwrap());
+            let mut session = catalog.begin();
+            session.stage(d).unwrap();
+            let applied = session.commit().applied;
+            assert_eq!(applied, db.apply_delta(d).unwrap());
+            assert_eq!(catalog.total_rows(), db.total_tuples());
+            let snapshot = catalog.snapshot();
+            assert!(snapshot.is_consistent());
+            assert_eq!(snapshot.violations(), full_violations(&db, &sigma).unwrap());
         }
         assert_eq!(db, before);
     }

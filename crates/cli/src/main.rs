@@ -5,8 +5,8 @@
 //! depkit implies <spec.dep> <DEP>          does the constraint set imply DEP?
 //! depkit keys <spec.dep> <RELATION>        candidate keys of a relation under its FDs
 //! depkit design <spec.dep> <RELATION>      BCNF check, 3NF synthesis, decomposition
-//! depkit validate <spec.dep> <deltas.dep>  stream mutation batches through the
-//!                                          incremental validator
+//! depkit validate <spec.dep> <deltas.dep>  commit mutation batches through the
+//!                                          incremental catalog, one session each
 //! depkit discover <spec.dep> [--threads N] mine the FDs/INDs the inline data
 //!         [--workers N]                    satisfies, minimized to a cover
 //!         [--memory-budget BYTES]          (N worker threads; 0 or omitted =
@@ -73,9 +73,10 @@ use depkit_chase::fdind_chase::{ChaseBudget, ChaseOutcome, FdIndChase};
 use depkit_core::prelude::*;
 use depkit_solver::design::{bcnf_decompose, is_bcnf, threenf_synthesis};
 use depkit_solver::fd::FdEngine;
-use depkit_solver::incremental::Validator;
+use depkit_solver::incremental::{CatalogState, ViolationKey};
 use depkit_solver::interact::Saturator;
 use spec::{parse_deltas, parse_spec};
+use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -273,11 +274,11 @@ fn check(path: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 }
 
-fn consistency_status(validator: &Validator) -> String {
-    if validator.is_consistent() {
+fn consistency_status(violations: &BTreeSet<ViolationKey>) -> String {
+    if violations.is_empty() {
         "consistent".to_string()
     } else {
-        format!("{} violation(s)", validator.violation_count())
+        format!("{} violation(s)", violations.len())
     }
 }
 
@@ -287,31 +288,35 @@ fn validate(path: &str, deltas_path: &str) -> Result<ExitCode, Box<dyn std::erro
     let batches = parse_deltas(&script)?;
 
     let sigma = spec.constraints.dependencies().to_vec();
-    let mut validator = Validator::new(spec.constraints.schema(), &sigma)?;
-    validator.seed(&spec.database)?;
+    let catalog = CatalogState::new(spec.constraints.schema(), &sigma)?;
+    catalog.seed(&spec.database)?;
+    let mut violations = catalog.snapshot().violations();
     println!(
         "seeded {} rows under {} dependencies: {}",
-        validator.total_rows(),
+        catalog.total_rows(),
         sigma.len(),
-        consistency_status(&validator)
+        consistency_status(&violations)
     );
 
     for (i, delta) in batches.iter().enumerate() {
-        let out = validator.apply(delta)?;
+        let mut session = catalog.begin();
+        session.stage(delta)?;
+        let out = session.commit().applied;
+        violations = catalog.snapshot().violations();
         println!(
             "batch {}: {delta} applied (+{} -{} effective), {} rows, {}",
             i + 1,
             out.inserted,
             out.deleted,
-            validator.total_rows(),
-            consistency_status(&validator)
+            catalog.total_rows(),
+            consistency_status(&violations)
         );
-        for v in validator.violations() {
-            println!("  {}", validator.explain(&v));
+        for v in &violations {
+            println!("  {}", v.explain(&sigma));
         }
     }
 
-    Ok(if validator.is_consistent() {
+    Ok(if violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

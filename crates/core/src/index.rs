@@ -5,54 +5,46 @@
 //! A *serving* workload is different: the database mutates continuously and
 //! constraints must be re-checked per delta, in time proportional to the
 //! delta — so the indexes have to be persistent, refcounted, and cheap to
-//! update in both directions. This module provides the three building
-//! blocks, all operating on rows of dense `u32` ids rather than heap
-//! [`Value`]s:
+//! update in both directions. This module provides the building blocks,
+//! all operating on rows of dense `u32` ids rather than heap [`Value`]s:
 //!
-//! * [`ValueInterner`] — a bidirectional [`Value`] ↔ `u32` table with
-//!   per-id reference counts. Interning happens once per distinct value at
-//!   the mutation boundary; every comparison after that is integer
-//!   equality. Deletions use the non-allocating [`ValueInterner::lookup`]:
-//!   a value the interner has never seen cannot be in any row, so the
-//!   delete is a no-op. Callers bracket each live row with
-//!   [`ValueInterner::retain_row`] / [`ValueInterner::release_row`]; ids
-//!   whose count drops to zero are recycled, so a delete-heavy serving
-//!   workload does not grow the table past the live value set.
+//! * [`ValueInterner`] — an append-only bidirectional [`Value`] ↔ `u32`
+//!   table. Interning happens once per distinct value at the mutation
+//!   boundary; every comparison after that is integer equality. Deletions
+//!   use the non-allocating [`ValueInterner::lookup`]: a value the
+//!   interner has never seen cannot be in any row, so the delete is a
+//!   no-op. Ids are never recycled, so a reader pinned at an old
+//!   generation can resolve ids whose rows the head has long deleted; the
+//!   table grows with the distinct values ever seen, not the live ones.
 //! * [`RowSet`] — a per-relation set of raw `u32` rows with set semantics
 //!   (duplicate insert and absent delete are no-ops, mirroring
-//!   [`crate::relation::Relation`]). This is the same representation the
-//!   Rule (*) chase of `depkit-chase` addresses by
-//!   [`RelId`](crate::intern::RelId); the chase and the incremental
-//!   validator share it.
-//! * [`ProjectionIndex`] — a refcounted multiset of projection keys
-//!   (`key → number of rows projecting to it`). [`ProjectionIndex::add`]
-//!   and [`ProjectionIndex::remove`] return the count *after* the
-//!   operation, so callers can detect the `0 → 1` and `1 → 0` transitions
-//!   that flip a constraint between satisfied and violated.
+//!   [`crate::relation::Relation`]), addressed like the Rule (*) chase of
+//!   `depkit-chase` addresses relations, by
+//!   [`RelId`](crate::intern::RelId).
+//! * [`ProjectionIndex`] — a counted multiset of projection keys
+//!   (`key → number of rows projecting to it`), built once per IND
+//!   right-hand side by discovery's row-based reference path.
+//! * [`GenValue`] / [`VersionedIndex`] — the generation-stamped forms of a
+//!   counter and of a [`ProjectionIndex`]: per-key count histories that
+//!   answer "what was the count as of generation `g`?".
 //!
-//! The incremental validator (`depkit_solver::incremental`) composes these
-//! into per-IND left/right projection indexes and per-FD witness maps.
+//! The snapshot-isolated catalog (`depkit_solver::incremental`) composes
+//! the interner and the versioned indexes into per-IND left/right
+//! projection counts and per-FD witness counts.
 
 use crate::database::Database;
 use crate::hashing::{FastMap, FastSet};
 use crate::value::Value;
-use std::collections::hash_map::Entry;
 
-/// A bidirectional [`Value`] ↔ `u32` table with per-id reference counts,
-/// for compiling tuples into raw rows.
+/// An append-only bidirectional [`Value`] ↔ `u32` table, for compiling
+/// tuples into raw rows.
 ///
-/// Ids are dense and only meaningful against the interner that produced
-/// them (the same contract as [`crate::intern::Catalog`]). Unlike the
-/// symbol catalog — whose vocabulary is fixed by `Σ` — the value table
-/// tracks *data*, which churns under a serving workload. Callers therefore
-/// bracket each live row: [`ValueInterner::retain_row`] after an effective
-/// insert, [`ValueInterner::release_row`] after an effective delete. An id
-/// whose count drops to zero is unmapped and its slot recycled by the next
-/// [`ValueInterner::intern`], so the table stays proportional to the
-/// values of *live* rows no matter how many mutations stream past.
-///
-/// Resolving an id with no retained reference is a caller bug: the slot
-/// may hold a placeholder or a recycled, unrelated value.
+/// Ids are dense (`0..len()`, in first-interning order) and only
+/// meaningful against the interner that produced them (the same contract
+/// as [`crate::intern::Catalog`]). Nothing is ever unmapped, so an id
+/// resolves to the same value for the interner's whole lifetime — the
+/// contract the snapshot-isolated catalog's pinned readers rely on, and
+/// what lets bulk compilers address per-value side tables by id.
 #[derive(Debug, Clone, Default)]
 pub struct ValueInterner {
     /// Fast path for [`Value::Int`] — the dominant case in compiled
@@ -63,14 +55,6 @@ pub struct ValueInterner {
     /// All other value kinds.
     ids: FastMap<Value, u32>,
     values: Vec<Value>,
-    /// `refs[id]` = number of retained row references to `values[id]`.
-    refs: Vec<u32>,
-    /// Zero-ref slots available for reuse.
-    free: Vec<u32>,
-    /// Append-only mode: ids are never unmapped or recycled, so any id
-    /// below the current [`ValueInterner::epoch`] resolves to the same
-    /// value forever — the contract pinned snapshots rely on.
-    append_only: bool,
 }
 
 impl ValueInterner {
@@ -79,37 +63,14 @@ impl ValueInterner {
         ValueInterner::default()
     }
 
-    /// An empty **append-only** interner: [`ValueInterner::release_row`]
-    /// never unmaps ids and slots are never recycled, so the table grows
-    /// monotonically and every id below [`ValueInterner::epoch`] stays
-    /// resolvable forever. This is the mode the snapshot-isolated catalog
-    /// uses — a reader pinned at an old generation may resolve ids whose
-    /// rows have long been deleted at the head.
-    pub fn new_append_only() -> Self {
-        ValueInterner {
-            append_only: true,
-            ..ValueInterner::default()
-        }
-    }
-
-    /// The interner's epoch: the number of slots ever allocated. In
-    /// append-only mode this is monotone and ids `0..epoch()` are frozen —
-    /// a reader that recorded `epoch()` at pin time may resolve any id it
-    /// saw then without coordinating with writers that have since
-    /// interned more values.
-    pub fn epoch(&self) -> u64 {
-        self.values.len() as u64
-    }
-
-    /// Number of distinct values currently mapped (retained or freshly
-    /// interned, excluding recycled slots).
+    /// Number of distinct values interned.
     pub fn len(&self) -> usize {
-        self.values.len() - self.free.len()
+        self.values.len()
     }
 
-    /// Whether no value is currently mapped.
+    /// Whether no value is interned.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.values.is_empty()
     }
 
     /// Pre-size the table for `additional` more distinct values. Bulk
@@ -119,7 +80,6 @@ impl ValueInterner {
     pub fn reserve(&mut self, additional: usize) {
         self.int_ids.reserve(additional);
         self.values.reserve(additional);
-        self.refs.reserve(additional);
     }
 
     /// Pre-size **both** hash tables for `additional` more distinct values
@@ -135,7 +95,6 @@ impl ValueInterner {
         self.int_ids.reserve(additional);
         self.ids.reserve(additional);
         self.values.reserve(additional);
-        self.refs.reserve(additional);
     }
 
     /// Current capacities of the `(int, general)` hash tables. This is the
@@ -146,44 +105,27 @@ impl ValueInterner {
         (self.int_ids.capacity(), self.ids.capacity())
     }
 
-    /// Allocate (or recycle) a slot for a fresh value.
-    fn fresh_slot(
-        values: &mut Vec<Value>,
-        refs: &mut Vec<u32>,
-        free: &mut Vec<u32>,
-        v: &Value,
-    ) -> u32 {
-        match free.pop() {
-            Some(id) => {
-                values[id as usize] = v.clone();
-                id
-            }
-            None => {
-                let id = u32::try_from(values.len()).expect("fewer than 2^32 live values");
-                values.push(v.clone());
-                refs.push(0);
-                id
-            }
-        }
+    /// Append a slot for a fresh value.
+    fn fresh_slot(values: &mut Vec<Value>, v: &Value) -> u32 {
+        let id = u32::try_from(values.len()).expect("fewer than 2^32 distinct values");
+        values.push(v.clone());
+        id
     }
 
-    /// Intern a value, returning its (possibly pre-existing) id. Fresh
-    /// values reuse a recycled slot when one is available. The returned id
-    /// starts with no retained references; pin it with
-    /// [`ValueInterner::retain_row`] once the referencing row is live.
+    /// Intern a value, returning its (possibly pre-existing) id.
     pub fn intern(&mut self, v: &Value) -> u32 {
         if let Value::Int(i) = v {
             // One probe for hit and miss alike (the key is `Copy`).
-            let (values, refs, free) = (&mut self.values, &mut self.refs, &mut self.free);
+            let values = &mut self.values;
             return *self
                 .int_ids
                 .entry(*i)
-                .or_insert_with(|| Self::fresh_slot(values, refs, free, v));
+                .or_insert_with(|| Self::fresh_slot(values, v));
         }
         if let Some(&id) = self.ids.get(v) {
             return id;
         }
-        let id = Self::fresh_slot(&mut self.values, &mut self.refs, &mut self.free, v);
+        let id = Self::fresh_slot(&mut self.values, v);
         self.ids.insert(v.clone(), id);
         id
     }
@@ -196,8 +138,7 @@ impl ValueInterner {
         }
     }
 
-    /// The value behind an id. Panics on ids from another interner; stale
-    /// for ids released back to zero references.
+    /// The value behind an id. Panics on ids from another interner.
     pub fn resolve(&self, id: u32) -> &Value {
         &self.values[id as usize]
     }
@@ -216,43 +157,6 @@ impl ValueInterner {
     /// Resolve a raw row back to values.
     pub fn resolve_row(&self, row: &[u32]) -> Vec<Value> {
         row.iter().map(|&id| self.resolve(id).clone()).collect()
-    }
-
-    /// Add one retained reference per entry of a live row.
-    pub fn retain_row(&mut self, row: &[u32]) {
-        for &id in row {
-            self.refs[id as usize] += 1;
-        }
-    }
-
-    /// Drop one reference per entry of a deleted row; ids reaching zero
-    /// references are unmapped and their slots recycled.
-    ///
-    /// In [append-only](ValueInterner::new_append_only) mode this is a
-    /// no-op: deleted rows' values stay mapped so pinned snapshots keep
-    /// resolving them (the table is only ever compacted by rebuilding the
-    /// catalog).
-    pub fn release_row(&mut self, row: &[u32]) {
-        if self.append_only {
-            return;
-        }
-        for &id in row {
-            let r = &mut self.refs[id as usize];
-            debug_assert!(*r > 0, "released a row that was never retained");
-            *r -= 1;
-            if *r == 0 {
-                let v = std::mem::replace(&mut self.values[id as usize], Value::Null(id as u64));
-                match v {
-                    Value::Int(i) => {
-                        self.int_ids.remove(&i);
-                    }
-                    other => {
-                        self.ids.remove(&other);
-                    }
-                }
-                self.free.push(id);
-            }
-        }
     }
 }
 
@@ -316,18 +220,16 @@ impl<'a> IntoIterator for &'a RowSet {
 /// shared [`ValueInterner`] plus each relation's tuples as `u32` rows, in
 /// schema order.
 ///
-/// This is the read-only sibling of the incremental validator's mutable
-/// state, kept as the row-major **reference representation**: the hot
+/// This is the row-major **reference representation**: the hot
 /// scans now run over the struct-of-arrays
 /// [`ColumnStore`](crate::column::ColumnStore) (same interner, same
 /// row-major id assignment), and the differential tests compare the two.
-/// Nothing is ever released, so the ids stay dense
+/// The interner is append-only, so the ids stay dense
 /// (`0..self.interner().len()`) and stable for the lifetime of the
 /// compilation; callers may address per-value side tables by id. Rows of
 /// the relation at schema index `i` follow the same
 /// [`RelId::index`](crate::intern::RelId::index) addressing convention as
-/// the chase and the validator, and preserve the relation's deterministic
-/// tuple order.
+/// the chase, and preserve the relation's deterministic tuple order.
 #[derive(Debug, Clone)]
 pub struct CompiledRows {
     interner: ValueInterner,
@@ -385,12 +287,9 @@ impl CompiledRows {
 /// A refcounted multiset of projection keys: `key → count of rows
 /// projecting to it`.
 ///
-/// This is the index the incremental validator keeps per IND side (and,
-/// nested, per FD group): satisfaction only depends on whether a key's
-/// count is zero, so [`add`](ProjectionIndex::add) /
-/// [`remove`](ProjectionIndex::remove) return the post-operation count and
-/// callers react to the `0 ↔ 1` transitions alone. Keys with count zero
-/// are evicted eagerly, keeping the map proportional to the *live* rows.
+/// Discovery's row-based reference path builds one per right-hand side
+/// and validates IND candidates against it: a left projection is
+/// witnessed iff its [`count`](ProjectionIndex::count) is nonzero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProjectionIndex {
     counts: FastMap<Vec<u32>, u32>,
@@ -405,73 +304,14 @@ impl ProjectionIndex {
     /// Add one reference to `key`, returning the count after the add (so
     /// `1` means the key just became present).
     pub fn add(&mut self, key: Vec<u32>) -> u32 {
-        match self.counts.entry(key) {
-            Entry::Occupied(mut e) => {
-                *e.get_mut() += 1;
-                *e.get()
-            }
-            Entry::Vacant(e) => {
-                e.insert(1);
-                1
-            }
-        }
-    }
-
-    /// Borrow-keyed [`ProjectionIndex::add`]: the key is cloned into the
-    /// table only on its `0 → 1` transition, so bulk builders that gather
-    /// keys into a reused buffer allocate once per *distinct* key instead
-    /// of once per row.
-    pub fn add_ref(&mut self, key: &[u32]) -> u32 {
-        match self.counts.get_mut(key) {
-            Some(c) => {
-                *c += 1;
-                *c
-            }
-            None => {
-                self.counts.insert(key.to_vec(), 1);
-                1
-            }
-        }
-    }
-
-    /// Drop one reference to `key`, returning the count after the drop (so
-    /// `0` means the key just disappeared). Removing an absent key is a
-    /// logic error upstream; it debug-panics and returns `0` in release.
-    pub fn remove(&mut self, key: &[u32]) -> u32 {
-        match self.counts.get_mut(key) {
-            Some(c) if *c > 1 => {
-                *c -= 1;
-                *c
-            }
-            Some(_) => {
-                self.counts.remove(key);
-                0
-            }
-            None => {
-                debug_assert!(false, "removed a key that was never added");
-                0
-            }
-        }
+        let c = self.counts.entry(key).or_insert(0);
+        *c += 1;
+        *c
     }
 
     /// Current reference count of `key` (zero when absent).
     pub fn count(&self, key: &[u32]) -> u32 {
         self.counts.get(key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct keys with a nonzero count.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether no key is referenced.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Iterate the live keys (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = &Vec<u32>> {
-        self.counts.keys()
     }
 }
 
@@ -593,9 +433,9 @@ impl GenValue {
 /// writer commits generation `g+1` by stamping new counts at `g+1`
 /// ([`VersionedIndex::add`] / [`VersionedIndex::remove`]), while a reader
 /// pinned at `g` keeps probing [`VersionedIndex::count_at`]`(key, g)` and
-/// observes the exact pre-commit counts. The `0 ↔ 1` transition discipline
-/// of [`ProjectionIndex`] carries over unchanged — both mutators return
-/// the post-operation count at the head.
+/// observes the exact pre-commit counts. Both mutators return the
+/// post-operation count at the head, so callers react to the `0 ↔ 1`
+/// transitions that flip a constraint between satisfied and violated.
 ///
 /// Space discipline: histories are pruned against the snapshot watermark
 /// on every touch, and [`VersionedIndex::vacuum`] evicts keys whose entire
@@ -775,32 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn interner_recycles_released_ids() {
-        let mut vi = ValueInterner::new();
-        let row = vi.intern_row(&[Value::Int(1), Value::Int(2)]);
-        vi.retain_row(&row);
-        assert_eq!(vi.len(), 2);
-
-        // Shared value: a second row retains id 1 again.
-        let row2 = vi.intern_row(&[Value::Int(2), Value::Int(3)]);
-        vi.retain_row(&row2);
-        assert_eq!(vi.len(), 3);
-
-        // Releasing the first row frees only the now-unreferenced Int(1).
-        vi.release_row(&row);
-        assert_eq!(vi.len(), 2);
-        assert_eq!(vi.lookup(&Value::Int(1)), None);
-        assert_eq!(vi.lookup(&Value::Int(2)), Some(row[1]));
-
-        // The freed slot is recycled for the next fresh value, so churn
-        // does not grow the table.
-        let recycled = vi.intern(&Value::str("fresh"));
-        assert_eq!(recycled, row[0]);
-        assert_eq!(vi.len(), 3);
-        assert_eq!(vi.resolve(recycled), &Value::str("fresh"));
-    }
-
-    #[test]
     fn compiled_rows_share_one_interner() {
         use crate::database::Database;
         use crate::schema::DatabaseSchema;
@@ -834,21 +648,18 @@ mod tests {
 
     #[test]
     fn append_only_interner_never_recycles() {
-        let mut vi = ValueInterner::new_append_only();
-        assert_eq!(vi.epoch(), 0);
+        let mut vi = ValueInterner::new();
+        assert!(vi.is_empty());
         let row = vi.intern_row(&[Value::Int(1), Value::Int(2)]);
-        assert_eq!(vi.epoch(), 2);
-        // Releasing is a no-op: the ids stay resolvable (a pinned snapshot
-        // may still hold them) and no slot is recycled.
-        vi.release_row(&row);
+        assert_eq!(row, vec![0, 1], "ids are dense, in interning order");
+        // A fresh value gets the next slot; earlier ids keep resolving.
+        let fresh = vi.intern(&Value::str("later"));
+        assert_eq!(fresh, 2);
         assert_eq!(vi.resolve(row[0]), &Value::Int(1));
         assert_eq!(vi.lookup(&Value::Int(1)), Some(row[0]));
-        let fresh = vi.intern(&Value::str("later"));
-        assert!(fresh > row[1], "no slot recycling in append-only mode");
-        assert_eq!(vi.epoch(), 3);
-        // Epoch is monotone: re-interning existing values does not move it.
+        // Re-interning existing values does not grow the table.
         vi.intern(&Value::Int(1));
-        assert_eq!(vi.epoch(), 3);
+        assert_eq!(vi.len(), 3);
     }
 
     #[test]
@@ -959,14 +770,7 @@ mod tests {
         assert_eq!(idx.add(vec![1]), 2);
         assert_eq!(idx.add(vec![2]), 1);
         assert_eq!(idx.count(&[1]), 2);
-        assert_eq!(idx.distinct(), 2);
-        assert_eq!(idx.remove(&[1]), 1);
-        assert_eq!(idx.remove(&[1]), 0);
-        assert_eq!(idx.count(&[1]), 0);
-        // Count-zero keys are evicted.
-        assert_eq!(idx.distinct(), 1);
-        assert!(!idx.is_empty());
-        assert_eq!(idx.remove(&[2]), 0);
-        assert!(idx.is_empty());
+        assert_eq!(idx.count(&[2]), 1);
+        assert_eq!(idx.count(&[3]), 0);
     }
 }

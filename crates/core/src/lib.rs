@@ -37,16 +37,17 @@
 //! The [`delta`] module defines the mutation unit of the online-validation
 //! workload — a [`Delta`] of deletions-then-insertions applied by
 //! [`Database::apply_delta`] — and the [`index`] module provides the
-//! refcounted structures over raw `u32` rows ([`ValueInterner`],
-//! [`RowSet`], [`ProjectionIndex`]) that `depkit_solver::incremental`
-//! composes into the delta-time constraint validator.
+//! structures over raw `u32` rows (the append-only [`ValueInterner`], the
+//! counted [`ProjectionIndex`] and its generation-stamped sibling
+//! [`VersionedIndex`]) that `depkit_solver::incremental` composes into the
+//! snapshot-isolated, delta-time constraint catalog.
 //!
 //! ## Columnar storage and parallel scans
 //!
 //! The [`mod@column`] module compiles a whole database into struct-of-arrays
 //! form — one dense `u32` id column per attribute ([`ColumnStore`]), with
-//! sort-based grouping, sorted-distinct column views, and the radix-style
-//! stripped-partition [`Refiner`] — so the hot whole-database scans
+//! sorted-distinct column views and the radix-style stripped-partition
+//! [`Refiner`] — so the hot whole-database scans
 //! (dependency discovery above all) run over contiguous id runs instead of
 //! per-row heap vectors. The [`pool`] module provides the scoped-thread
 //! indexed parallel map those scans fan out on, and [`hashing`] the

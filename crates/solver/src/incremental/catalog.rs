@@ -1,10 +1,9 @@
 //! Snapshot-isolated validation: one shared catalog, many sessions.
 //!
-//! [`Validator`](super::Validator) assumes exclusive `&mut` access — one
-//! owner mutates, everyone else waits. This module refactors that
-//! ownership model into the multi-version shape a serving system needs
-//! (`depkit serve` multiplexes thousands of client streams over one
-//! catalog):
+//! This is the crate's one incremental engine, in the multi-version shape
+//! a serving system needs (`depkit serve` multiplexes thousands of client
+//! streams over one catalog; `depkit validate` is the single-session case
+//! of the same commit path):
 //!
 //! * [`CatalogState`] is the shared engine: the compiled `(Schema, Σ)`
 //!   plan (immutable after construction) plus a generation-stamped mutable
@@ -34,8 +33,8 @@
 //!
 //! Abort is cheaper still: staging lives entirely inside the [`Session`],
 //! so dropping it cannot leave a trace in any snapshot — the same
-//! atomic-on-error discipline [`Validator::seed`](super::Validator::seed)
-//! established for bulk loads, promoted to the transaction boundary.
+//! atomic-on-error discipline [`CatalogState::seed`] keeps for bulk loads,
+//! promoted to the transaction boundary.
 //!
 //! ## Generation-counter invariants
 //!
@@ -142,6 +141,13 @@ struct MutState {
     /// [`Snapshot::health`] answers per-dependency satisfaction without a
     /// key-space scan.
     dep_viol: Vec<GenValue>,
+    /// Per-dependency set of violating keys, indexed by position in Σ, as
+    /// 0/1-valued histories (FD: LHS groups with ≥ 2 distinct RHS; IND:
+    /// left-side projections with no right-side witness). Flipped on
+    /// exactly the transitions that move `dep_viol`, so listing the
+    /// violations of a generation costs the violation count, not a scan
+    /// of the projection indexes.
+    viol_keys: Vec<VersionedIndex>,
     /// Per-dependency tracked-key history, indexed by position in Σ: for
     /// an FD the number of live distinct LHS groups, for an IND the
     /// number of live distinct left-side projections. `violating /
@@ -158,6 +164,18 @@ struct MutState {
     /// Reusable projection-key buffer for the write path (no per-op
     /// allocation; the index mutators clone only on first insertion).
     scratch: Vec<u32>,
+}
+
+impl MutState {
+    /// The violating keys of dependency `dep` at `gen`. A dependency
+    /// whose maintained counter reads zero is skipped outright, so the
+    /// healed keys its set keeps until the next vacuum cost nothing.
+    fn base_violations(&self, dep: usize, gen: u64) -> impl Iterator<Item = &Vec<u32>> {
+        let live = self.dep_viol[dep].at(gen) > 0;
+        live.then(|| self.viol_keys[dep].keys_at(gen))
+            .into_iter()
+            .flatten()
+    }
 }
 
 /// What [`MutState::tokens`] remembers per client.
@@ -187,8 +205,9 @@ struct Inner {
     sink: Mutex<Option<Box<dyn CommitSink>>>,
     /// Set when a sink append fails with the state already mutated: the
     /// in-memory catalog is ahead of the durable log, so every further
-    /// tagged commit is refused (degraded read-only) rather than widening
-    /// the divergence. Cleared only by restarting from the log.
+    /// commit but an untagged empty one is refused (degraded read-only)
+    /// rather than widening the divergence. Read under the write lock.
+    /// Cleared only by restarting from the log.
     sink_poisoned: AtomicBool,
     /// Pinned generation → number of snapshots pinning it.
     pins: Mutex<BTreeMap<u64, usize>>,
@@ -286,10 +305,8 @@ impl Inner {
             if st.fd_pairs[fi as usize].remove(&key, gen, w) == 0 {
                 match st.fd_distinct[fi as usize].remove(&key[..split], gen, w) {
                     0 => bump_gen(&mut st.dep_keys[f.dep], -1, gen, w), // group gone
-                    1 => {
-                        dv -= 1; // the LHS group dropped from 2 distinct RHS to 1
-                        bump_gen(&mut st.dep_viol[f.dep], -1, gen, w);
-                    }
+                    // The LHS group dropped from 2 distinct RHS to 1.
+                    1 => dv += flip_violation(st, f.dep, &key[..split], false, gen, w),
                     _ => {}
                 }
             }
@@ -301,8 +318,8 @@ impl Inner {
             if st.ind_left[ii as usize].remove(&key, gen, w) == 0 {
                 bump_gen(&mut st.dep_keys[i.dep], -1, gen, w); // left key gone
                 if st.ind_right[ii as usize].latest(&key) == 0 {
-                    dv -= 1; // the last dangling left occurrence is gone
-                    bump_gen(&mut st.dep_viol[i.dep], -1, gen, w);
+                    // The last dangling left occurrence is gone.
+                    dv += flip_violation(st, i.dep, &key, false, gen, w);
                 }
             }
         }
@@ -313,8 +330,8 @@ impl Inner {
             if st.ind_right[ii as usize].remove(&key, gen, w) == 0
                 && st.ind_left[ii as usize].latest(&key) > 0
             {
-                dv += 1; // left occurrences just lost their last witness
-                bump_gen(&mut st.dep_viol[i.dep], 1, gen, w);
+                // Left occurrences just lost their last witness.
+                dv += flip_violation(st, i.dep, &key, true, gen, w);
             }
         }
         st.scratch = key;
@@ -351,10 +368,8 @@ impl Inner {
             if st.fd_pairs[fi as usize].add(&key, gen, w) == 1 {
                 match st.fd_distinct[fi as usize].add(&key[..split], gen, w) {
                     1 => bump_gen(&mut st.dep_keys[f.dep], 1, gen, w), // fresh group
-                    2 => {
-                        dv += 1; // the LHS group just reached 2 distinct RHS
-                        bump_gen(&mut st.dep_viol[f.dep], 1, gen, w);
-                    }
+                    // The LHS group just reached 2 distinct RHS.
+                    2 => dv += flip_violation(st, f.dep, &key[..split], true, gen, w),
                     _ => {}
                 }
             }
@@ -366,8 +381,8 @@ impl Inner {
             if st.ind_left[ii as usize].add(&key, gen, w) == 1 {
                 bump_gen(&mut st.dep_keys[i.dep], 1, gen, w); // fresh left key
                 if st.ind_right[ii as usize].latest(&key) == 0 {
-                    dv += 1; // a fresh left occurrence with no witness
-                    bump_gen(&mut st.dep_viol[i.dep], 1, gen, w);
+                    // A fresh left occurrence with no witness.
+                    dv += flip_violation(st, i.dep, &key, true, gen, w);
                 }
             }
         }
@@ -378,8 +393,8 @@ impl Inner {
             if st.ind_right[ii as usize].add(&key, gen, w) == 1
                 && st.ind_left[ii as usize].latest(&key) > 0
             {
-                dv -= 1; // dangling left occurrences just got a witness
-                bump_gen(&mut st.dep_viol[i.dep], -1, gen, w);
+                // Dangling left occurrences just got a witness.
+                dv += flip_violation(st, i.dep, &key, false, gen, w);
             }
         }
         st.scratch = key;
@@ -557,7 +572,9 @@ impl Inner {
     }
 
     /// The violation set of `(generation gen) + staged`, in time
-    /// proportional to the staged delta plus the base violation count.
+    /// proportional to the staged delta plus the base violation count:
+    /// touched keys are recomputed, untouched base violations are read
+    /// off the maintained violating-key sets, never off a key-space scan.
     fn violations_with(&self, gen: u64, staged: &Delta) -> BTreeSet<ViolationKey> {
         let st = self.read();
         let ids = self.staged_changes(&st, gen, staged);
@@ -575,8 +592,8 @@ impl Inner {
                     });
                 }
             }
-            for (key, c) in st.fd_distinct[fi].iter_at(gen) {
-                if c >= 2 && !adj.contains_key(key) {
+            for key in st.base_violations(f.dep, gen) {
+                if !adj.contains_key(key) {
                     out.insert(ViolationKey::Fd {
                         dep: f.dep,
                         lhs: st.values.resolve_row(key),
@@ -600,8 +617,8 @@ impl Inner {
                     });
                 }
             }
-            for (key, c) in st.ind_left[ii].iter_at(gen) {
-                if c > 0 && st.ind_right[ii].count_at(key, gen) == 0 && !affected.contains(key) {
+            for key in st.base_violations(i.dep, gen) {
+                if !affected.contains(key) {
                     out.insert(ViolationKey::Ind {
                         dep: i.dep,
                         missing: st.values.resolve_row(key),
@@ -658,6 +675,16 @@ fn bump_gen(g: &mut GenValue, dv: i64, gen: u64, w: u64) {
         debug_assert!(c >= 0, "generation counter went negative");
         g.set(gen, c.max(0) as u32, w);
     }
+}
+
+/// Stamp `key` of dependency `dep` as turning violating (`on`) or healed
+/// at `gen`: the per-dependency counter and violating-key set move
+/// together. Returns the change in violating keys (`±1`).
+fn flip_violation(st: &mut MutState, dep: usize, key: &[u32], on: bool, gen: u64, w: u64) -> i64 {
+    st.viol_keys[dep].set(key, gen, u32::from(on), w);
+    let dv = if on { 1 } else { -1 };
+    bump_gen(&mut st.dep_viol[dep], dv, gen, w);
+    dv
 }
 
 /// Stamp a net change of `dv` violating keys at `gen`.
@@ -740,16 +767,17 @@ pub struct CommitRecord<'a> {
 /// An `Err` poisons the catalog: the commit that triggered it still
 /// publishes (the in-memory state is already mutated and must stay
 /// coherent for readers), but the committer gets
-/// [`CoreError::Durability`] instead of an ack, and every subsequent
-/// tagged commit is refused until the process restarts and recovers from
-/// the log.
+/// [`CoreError::Durability`] instead of an ack, and every later commit —
+/// tagged or not, including one already waiting on the write lock — is
+/// refused until the process restarts and recovers from the log. The one
+/// exception is an untagged empty commit, which changes nothing and never
+/// takes the lock.
 pub trait CommitSink: Send + std::fmt::Debug {
     /// Record one effective commit; the error string names the failure.
     fn record(&mut self, rec: &CommitRecord<'_>) -> Result<(), String>;
 }
 
-/// The shared, snapshot-isolated FD/IND validation engine — the
-/// multi-session refactoring of [`Validator`](super::Validator).
+/// The shared, snapshot-isolated FD/IND validation engine.
 ///
 /// Cloning the handle is cheap (it is an [`Arc`]); every clone addresses
 /// the same catalog, so one `CatalogState` can be handed to any number of
@@ -790,9 +818,11 @@ pub struct CatalogState {
 
 impl CatalogState {
     /// Compile a catalog for `sigma` over `schema`, starting from the
-    /// empty database at generation `0`. Like
-    /// [`Validator::new`](super::Validator::new), `sigma` may contain FDs
-    /// and INDs only.
+    /// empty database at generation `0`.
+    ///
+    /// `sigma` may contain FDs and INDs only; any other dependency kind is
+    /// rejected with [`CoreError::UnsupportedDependency`] (the offline
+    /// [`depkit_core::satisfy`] checker handles RDs and EMVDs).
     pub fn new(schema: &DatabaseSchema, sigma: &[Dependency]) -> Result<Self, CoreError> {
         let names = Catalog::from_schema(schema);
         let n = schema.schemes().len();
@@ -835,7 +865,7 @@ impl CatalogState {
             }
         }
         let state = MutState {
-            values: ValueInterner::new_append_only(),
+            values: ValueInterner::new(),
             rows: (0..n).map(|_| VersionedIndex::new()).collect(),
             row_count: (0..n).map(|_| GenValue::default()).collect(),
             log: (0..n)
@@ -854,6 +884,7 @@ impl CatalogState {
             ind_right: (0..inds.len()).map(|_| VersionedIndex::new()).collect(),
             viol_count: GenValue::default(),
             dep_viol: (0..sigma.len()).map(|_| GenValue::default()).collect(),
+            viol_keys: (0..sigma.len()).map(|_| VersionedIndex::new()).collect(),
             dep_keys: (0..sigma.len()).map(|_| GenValue::default()).collect(),
             commits: 0,
             tokens: FastMap::default(),
@@ -898,13 +929,6 @@ impl CatalogState {
     /// still pins (equals [`CatalogState::generation`] when none do).
     pub fn watermark(&self) -> u64 {
         self.inner.watermark.load(Ordering::Acquire)
-    }
-
-    /// Number of distinct values ever interned (the interner is
-    /// append-only: pinned histories must resolve forever, so ids are not
-    /// recycled — [`CatalogState::vacuum`] reclaims index keys instead).
-    pub fn live_values(&self) -> usize {
-        self.inner.read().values.len()
     }
 
     /// Total live rows at the current generation.
@@ -994,8 +1018,8 @@ impl CatalogState {
     }
 
     /// Whether an earlier [`CommitSink`] failure left the catalog
-    /// degraded read-only (every tagged commit is refused; see
-    /// [`CommitSink`] for the contract).
+    /// degraded read-only (every commit but an untagged empty one is
+    /// refused; see [`CommitSink`] for the contract).
     pub fn durability_poisoned(&self) -> bool {
         self.inner.sink_poisoned.load(Ordering::Acquire)
     }
@@ -1213,6 +1237,7 @@ fn vacuum_locked(st: &mut MutState, gen: u64, pins: &[u64]) {
         .chain(st.fd_distinct.iter_mut())
         .chain(st.ind_left.iter_mut())
         .chain(st.ind_right.iter_mut())
+        .chain(st.viol_keys.iter_mut())
     {
         idx.vacuum_sparse(pins);
     }
@@ -1533,6 +1558,9 @@ impl Session {
                 replayed: false,
             });
         }
+        let mut st = inner.write();
+        // Checked under the lock: a commit that queued on it while the
+        // holder's sink append failed must see the poison, not apply.
         if inner.sink_poisoned.load(Ordering::Acquire) {
             return Err(CoreError::Durability(
                 "catalog is read-only: an earlier write-ahead-log failure \
@@ -1540,7 +1568,6 @@ impl Session {
                     .into(),
             ));
         }
-        let mut st = inner.write();
         // Idempotency check comes first, before anything is applied: a
         // retried commit must return the original ack, not re-apply.
         if let Some((c, t)) = client {
@@ -1998,6 +2025,11 @@ mod tests {
                 "per-dependency history must prune to O(pins), got {}",
                 ind_viol.depth()
             );
+            assert_eq!(
+                st.viol_keys[0].key_count(),
+                0,
+                "a healed key no pin can observe as violating must be evicted"
+            );
         }
         // The pinned generation still reads its exact pre-churn state.
         assert!(pinned.is_consistent());
@@ -2007,12 +2039,73 @@ mod tests {
         assert!(cat.snapshot().is_consistent());
     }
 
+    /// A commit already queued on the write lock when another commit's
+    /// sink append fails must be refused, not applied and acked on the
+    /// poisoned catalog.
+    #[test]
+    fn a_commit_queued_behind_a_sink_failure_is_refused() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        /// Fails its first append, after signalling the second committer
+        /// and giving it time to queue on the write lock. The second
+        /// commit starts only on that signal, so it always takes the lock
+        /// after the failure; the sleep only makes a pre-lock poison check
+        /// (the bug) lose the race reliably.
+        #[derive(Debug)]
+        struct FailFirst(Option<mpsc::Sender<()>>);
+        impl CommitSink for FailFirst {
+            fn record(&mut self, _: &CommitRecord<'_>) -> Result<(), String> {
+                match self.0.take() {
+                    Some(go) => {
+                        go.send(()).unwrap();
+                        std::thread::sleep(Duration::from_millis(50));
+                        Err("injected append failure".into())
+                    }
+                    None => Ok(()),
+                }
+            }
+        }
+
+        let (_, _, cat) = setup();
+        let (go, wait) = mpsc::channel();
+        cat.set_commit_sink(Some(Box::new(FailFirst(Some(go)))));
+        // Both sessions begin before the first commit takes the lock.
+        let mut first = cat.begin();
+        first
+            .stage_insert("DEPT", Tuple::strs(&["math", "gauss"]))
+            .unwrap();
+        let mut second = cat.begin();
+        second
+            .stage_insert("DEPT", Tuple::strs(&["cs", "knuth"]))
+            .unwrap();
+        let queued = std::thread::spawn(move || {
+            wait.recv().unwrap();
+            second.commit_tagged(None)
+        });
+        assert!(matches!(
+            first.commit_tagged(None),
+            Err(CoreError::Durability(_))
+        ));
+        let second = queued.join().unwrap();
+        assert!(
+            matches!(second, Err(CoreError::Durability(_))),
+            "a commit queued behind the failure was acked: {second:?}"
+        );
+        assert!(cat.durability_poisoned());
+        assert_eq!(cat.total_rows(), 1, "only the failed commit's row landed");
+    }
+
+    /// The name predates the removal of the single-writer validator: the
+    /// sessions are checked against the full recheck alone, at the head
+    /// and at generations held by older pins across a vacuum.
     #[test]
     fn randomized_sessions_match_the_validator_and_full_recheck() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
         let (schema, sigma, cat) = setup();
         let mut rng = StdRng::seed_from_u64(0xCA7A_1065);
         let mut oracle = Database::empty(schema);
+        let mut pinned = Vec::new();
         for round in 0..40 {
             let mut s = cat.begin();
             let ops = rng.random_range(0..6u32);
@@ -2041,6 +2134,13 @@ mod tests {
             let snap = cat.snapshot();
             assert_eq!(snap.to_database(), oracle, "round {round}");
             check_snapshot(&snap, &sigma);
+            if round % 8 == 0 {
+                pinned.push(snap);
+            }
+        }
+        cat.vacuum();
+        for snap in &pinned {
+            check_snapshot(snap, &sigma);
         }
     }
 }

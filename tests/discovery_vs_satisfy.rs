@@ -2,7 +2,7 @@
 //! pass the exact `core::satisfy` checker on the source database
 //! (soundness), planted dependencies must be rediscovered (completeness),
 //! the emitted cover must be minimal (the acceptance criterion), and a
-//! discovered cover must drive the incremental `Validator` without
+//! discovered cover must drive the incremental `CatalogState` without
 //! violations — closing the loop between discovery and serving.
 
 use depkit_bench::referential_workload;
@@ -12,7 +12,7 @@ use depkit_core::generate::{
 };
 use depkit_core::{Database, DatabaseSchema, Dependency};
 use depkit_solver::discover::{discover, implied_by};
-use depkit_solver::incremental::Validator;
+use depkit_solver::incremental::CatalogState;
 
 fn small_schema(rng: &mut Rng) -> DatabaseSchema {
     random_schema(
@@ -146,7 +146,7 @@ fn cover_is_minimal_on_random_databases() {
     }
 }
 
-/// Discovery → serving loop: seed the incremental validator with a
+/// Discovery → serving loop: seed the incremental catalog with a
 /// discovered cover (always consistent, since discovery is sound), then
 /// stream random delta batches that only re-insert existing projections —
 /// delete-and-reinsert pairs and duplicate inserts. No batch may surface a
@@ -158,11 +158,11 @@ fn discovered_cover_validates_reinsertion_deltas() {
         let schema = small_schema(&mut rng);
         let db = random_database(&mut rng, &schema, 10, 4);
         let found = discover(&db);
-        let mut validator =
-            Validator::new(&schema, &found.cover).expect("discovered covers are FDs and INDs");
-        validator.seed(&db).expect("rows fit their schema");
+        let catalog =
+            CatalogState::new(&schema, &found.cover).expect("discovered covers are FDs and INDs");
+        catalog.seed(&db).expect("rows fit their schema");
         assert!(
-            validator.is_consistent(),
+            catalog.snapshot().is_consistent(),
             "round {round}: a sound discovery must validate its own source"
         );
         for batch in 0..5 {
@@ -187,9 +187,16 @@ fn discovered_cover_validates_reinsertion_deltas() {
             if delta.is_empty() {
                 continue;
             }
-            validator.apply(&delta).expect("delta applies");
+            let mut session = catalog.begin();
+            session.stage(&delta).expect("delta applies");
+            let out = session.commit().applied;
+            assert_eq!(
+                out.inserted, out.deleted,
+                "round {round} batch {batch}: only deleted rows are re-inserted"
+            );
+            assert_eq!(catalog.total_rows(), db.total_tuples());
             assert!(
-                validator.is_consistent(),
+                catalog.snapshot().is_consistent(),
                 "round {round} batch {batch}: re-inserting existing projections must not violate"
             );
         }

@@ -1,7 +1,8 @@
-//! Differential property test for the serving layer: the incremental
-//! [`Validator`] must report exactly the violation set a full recheck of
-//! the mutated database computes, after every delta of every random
-//! insert/delete sequence.
+//! Differential property test for the serving layer: every
+//! [`CatalogState`] session commit must report exactly the outcome, and
+//! leave exactly the violation set, that applying the same delta to a
+//! plain [`Database`] and rechecking it in full computes — after every
+//! delta of every random insert/delete sequence.
 //!
 //! This is the differential-testing contract of
 //! `depkit_solver::incremental` (incremental == full revalidation), the
@@ -9,7 +10,7 @@
 
 use depkit_core::generate::{random_fd, random_ind, random_schema, Rng, SchemaConfig};
 use depkit_core::prelude::*;
-use depkit_solver::incremental::{full_violations, Validator};
+use depkit_solver::incremental::{full_violations, CatalogState};
 use proptest::prelude::*;
 
 /// Build a random FD/IND constraint set over `schema`. Small arities and a
@@ -49,10 +50,9 @@ fn random_delta(rng: &mut Rng, schema: &DatabaseSchema) -> Delta {
 }
 
 proptest! {
-    /// Drive random insert/delete sequences through the incremental
-    /// validator and the full-recheck reference path in lockstep; their
-    /// violation sets, outcomes, and row counts must agree at every
-    /// checkpoint.
+    /// Drive random insert/delete sequences through catalog sessions and
+    /// the full-recheck reference path in lockstep; their violation sets,
+    /// outcomes, and row counts must agree after every commit.
     #[test]
     fn incremental_matches_full_recheck(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
@@ -60,21 +60,24 @@ proptest! {
             relations: 3, min_arity: 2, max_arity: 3,
         });
         let sigma = random_sigma(&mut rng, &schema);
-        let mut validator = Validator::new(&schema, &sigma).expect("FDs and INDs compile");
+        let catalog = CatalogState::new(&schema, &sigma).expect("FDs and INDs compile");
         let mut db = Database::empty(schema.clone());
 
         for _batch in 0..8 {
             let delta = random_delta(&mut rng, &schema);
-            let inc_out = validator.apply(&delta).expect("delta is well formed");
+            let mut session = catalog.begin();
+            session.stage(&delta).expect("delta is well formed");
+            let inc_out = session.commit().applied;
             let full_out = db.apply_delta(&delta).expect("delta is well formed");
             prop_assert_eq!(inc_out, full_out);
-            prop_assert_eq!(validator.total_rows(), db.total_tuples());
+            prop_assert_eq!(catalog.total_rows(), db.total_tuples());
+            let snapshot = catalog.snapshot();
             prop_assert_eq!(
-                validator.violations(),
+                snapshot.violations(),
                 full_violations(&db, &sigma).expect("sigma is FD/IND only")
             );
             prop_assert_eq!(
-                validator.is_consistent(),
+                snapshot.is_consistent(),
                 db.satisfies_all(&sigma).expect("sigma is well formed")
             );
         }
@@ -90,12 +93,18 @@ proptest! {
         });
         let sigma = random_sigma(&mut rng, &schema);
         let db = depkit_core::generate::random_database(&mut rng, &schema, 12, 4);
-        let mut validator = Validator::new(&schema, &sigma).expect("FDs and INDs compile");
-        validator.seed(&db).expect("database matches schema");
-        prop_assert_eq!(validator.total_rows(), db.total_tuples());
+        let catalog = CatalogState::new(&schema, &sigma).expect("FDs and INDs compile");
+        let out = catalog.seed(&db).expect("database matches schema");
+        prop_assert_eq!(out.applied.inserted, db.total_tuples());
+        prop_assert_eq!(catalog.total_rows(), db.total_tuples());
+        let snapshot = catalog.snapshot();
         prop_assert_eq!(
-            validator.violations(),
+            snapshot.violations(),
             full_violations(&db, &sigma).expect("sigma is FD/IND only")
+        );
+        prop_assert_eq!(
+            snapshot.is_consistent(),
+            db.satisfies_all(&sigma).expect("sigma is well formed")
         );
     }
 }
